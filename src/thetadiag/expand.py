@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import theta as theta_mod
+from .chars import Characteristic
 
 MAX_BRACKET_PAIRS = 4
 TWO_PI_I = 2j * np.pi
@@ -162,7 +163,7 @@ def bracket(indices, g):
         if not 1 <= a <= g:
             raise ValueError("bracket index %d out of range 1..%d" % (a, g))
     monomials = set()
-    for matching in _perfect_matchings(len(indices)):
+    for matching in _perfect_matchings_of(list(range(len(indices)))):
         pairs = []
         ok = True
         for i, j in matching:
@@ -186,20 +187,8 @@ def bracket(indices, g):
     return BracketPolynomial(g, terms)
 
 
-def _perfect_matchings(k):
-    """All ways to split positions 0..k-1 into unordered pairs."""
-    if k == 0:
-        yield []
-        return
-    positions = list(range(k))
-    first = positions[0]
-    for i in range(1, k):
-        rest = positions[1:i] + positions[i + 1:]
-        for sub in _perfect_matchings_of(rest):
-            yield [(first, positions[i])] + sub
-
-
 def _perfect_matchings_of(positions):
+    """All ways to split the list of positions into unordered pairs."""
     if not positions:
         yield []
         return
@@ -396,6 +385,9 @@ def fit_slope(ladder, magnitudes, target_order, tolerance=DEFAULT_SLOPE_TOL,
     """Least-squares log-log slope of |value| against epsilon."""
     ladder = [float(e) for e in ladder]
     magnitudes = [float(abs(v)) for v in magnitudes]
+    if len(ladder) != len(magnitudes):
+        raise ValueError("ladder has %d points but %d magnitudes were given"
+                         % (len(ladder), len(magnitudes)))
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("epsilon ladder must be strictly decreasing")
     if comparison not in ("equal", "at_least"):
@@ -449,8 +441,6 @@ def random_offdiagonal_direction(g, rng):
 
 
 def _normal_form(l, g):
-    from .chars import Characteristic
-
     return Characteristic((1,) * l + (0,) * (g - l), (1,) * l + (0,) * (g - l))
 
 

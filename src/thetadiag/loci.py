@@ -9,6 +9,7 @@ is below tol times the largest even theta constant at the same point.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,8 @@ from .chars import (
     special_fundamental_system,
     b_char,
 )
-from .expand import bind_symbols, default_ladder, fit_slope
+from .expand import (bind_symbols, bracket, default_ladder, evaluate, fit_slope,
+                     offdiag_of)
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
@@ -152,8 +154,6 @@ def hyperelliptic_vanishing_test(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_
     # informational part: shifts of sums of exactly g members
     fs = special_fundamental_system(g)
     b = b_char(fs)
-    import itertools
-
     members = fs.essential_members()
     extra = set()
     for combo in itertools.combinations(range(len(members)), g):
@@ -214,8 +214,6 @@ def tridiagonal_tangent_check(g, t, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TO
         raise ValueError("need 3 <= g <= 5")
     fs = special_fundamental_system(g)
     tau = PeriodMatrix.diagonal(t)
-    import itertools
-
     pairs = [(a, b) for a in range(g) for b in range(a, g)]
     rows = []
     witness = []
@@ -525,14 +523,10 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
         # the *total* tau_jk-derivative of the determinant at the
         # theta-null point is proportional to the vanishing null residual
         # and is of higher order; the module verifies the stated route.
-        from .expand import bracket as _bracket
-        from .expand import evaluate as _evaluate
-        from .expand import offdiag_of as _offdiag_of
-
         bound = (fs, phis, psis)
         for j in range(4, g + 1):
             for k in range(j + 1, g + 1):
-                pol = _bracket([j, k, 1, 2], g)
+                pol = bracket([j, k, 1, 2], g)
                 derivs = []
                 expected_vals = []
                 for eps in ladder:
@@ -546,9 +540,9 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
                     h = 1e-3 * eps
                     vals = []
                     for sgn in (1.0, -1.0):
-                        off = _offdiag_of(tau.entries)
+                        off = offdiag_of(tau.entries)
                         off[(j, k)] = off.get((j, k), 0j) + sgn * h
-                        vals.append(_evaluate(pol, t, off, 2, bound=bound))
+                        vals.append(evaluate(pol, t, off, 2, bound=bound))
                     db = (vals[0] - vals[1]) / (2 * h)
                     derivs.append(phis[j - 1] * phis[k - 1] * db * d123)
                     tau13 = tau.entries[0, 2]

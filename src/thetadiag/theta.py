@@ -3,17 +3,23 @@
 theta[eps;delta](tau, z) = sum over p in Z^g of
     exp(pi i [ (p+eps/2)^t tau (p+eps/2) + 2 (p+eps/2) . (z+delta/2) ])
 
-The lattice sum is truncated at a radius chosen so that a rigorous
-Gaussian tail bound (driven by the smallest eigenvalue of Im tau) is
-below the requested tolerance.  z-derivatives are computed by term-wise
-differentiation of the series, never by finite differences; tau
-derivatives come from the heat equation.
+With q = p + eps/2 and Y = Im tau, the sum runs over the points of
+eps/2 + Z^g in the ellipsoid q^t Y q <= R^2 (Deconinck, Heil, Bobenko,
+van Hoeij and Schmies, "Computing Riemann theta functions", Math. Comp.
+2004), enumerated from the Cholesky factor of Y (Fincke-Pohst).  R is the
+smallest whole number whose rigorous tail bound, aware of the derivative
+order and of Im z, is below the requested tolerance (_ellipsoid_radius);
+a sum needing more than MAX_POINTS points raises ValueError before they
+are allocated.  One pass per eps serves every delta and derivative
+multi-index.  z-derivatives are computed by term-wise differentiation of
+the series, never by finite differences; tau derivatives come from the
+heat equation.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -21,11 +27,11 @@ from .chars import Characteristic
 
 DEFAULT_TOL = 1e-10
 MIN_TOL = 1e-14
-MAX_RADIUS = 60
+# Largest lattice sum, in points: a g=5 Hessian near this size peaks at
+# ~160 MB, while no test or benchmark job sums more than ~16,000.
+MAX_POINTS = 200_000
 MAX_NUMERIC_GENUS = 5
 MAX_DERIV_ORDER = 4
-
-_LATTICE_CACHE = {}
 
 
 class PeriodMatrix:
@@ -35,10 +41,13 @@ class PeriodMatrix:
         entries = np.array(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("entries must form a square matrix")
+        if not np.isfinite(entries).all():
+            raise ValueError("period matrix entries must be finite")
         if not (entries == entries.T).all():
             raise ValueError("period matrix must be symmetric")
         try:
-            np.linalg.cholesky(entries.imag)
+            # Im tau = L L^t; the lattice enumeration walks the rows of L^t
+            self._cholesky = np.linalg.cholesky(entries.imag)
         except np.linalg.LinAlgError:
             raise ValueError("imaginary part must be positive definite")
         entries.setflags(write=False)
@@ -81,100 +90,126 @@ class PeriodMatrix:
         return PeriodMatrix(entries)
 
 
-@dataclass(frozen=True)
-class DerivativeRequest:
-    """A z-derivative multi-index attached to a characteristic."""
-
-    multi_index: tuple
-    characteristic: Characteristic
-
-    def __post_init__(self):
-        if len(self.multi_index) != self.characteristic.g:
-            raise ValueError("multi-index length must equal the genus")
-        if any(k < 0 for k in self.multi_index):
-            raise ValueError("multi-index entries must be nonnegative")
-
-    @property
-    def order(self):
-        return sum(self.multi_index)
-
-
-def _truncation_radius(g, lam, ynorm, order, tol):
-    """Smallest radius R so that the neglected tail of the theta series is < tol.
-
-    Terms with sup-norm shell m have |q| >= m - 1/2 and at most
-    2g(2m+1)^{g-1} lattice points; each is bounded by
-    (2 pi (m+1/2))^order exp(-pi lam (m-1/2)^2 + 2 pi ynorm sqrt(g) (m+1/2)).
-    Once the shell bound halves from shell to shell the tail is dominated
-    by a geometric series.
-    """
-
-    def shell(m):
-        mag = -np.pi * lam * (m - 0.5) ** 2 + 2 * np.pi * ynorm * np.sqrt(g) * (m + 0.5)
-        if mag > 700.0:
-            return np.inf
-        return (
-            2 * g * (2 * m + 1) ** (g - 1)
-            * (2 * np.pi * (m + 0.5)) ** order
-            * np.exp(mag)
-        )
-
-    for radius in range(2, MAX_RADIUS + 1):
-        s1 = shell(radius + 1)
-        s2 = shell(radius + 2)
-        if s1 <= tol / 2.0 and s2 <= s1 / 2.0:
-            return radius
-    raise ValueError(
-        "tolerance %g unachievable within radius %d (near-degenerate Im tau?)"
-        % (tol, MAX_RADIUS)
-    )
-
-
-def _lattice(g, radius):
-    key = (g, radius)
-    pts = _LATTICE_CACHE.get(key)
-    if pts is None:
-        axes = [np.arange(-radius, radius + 1)] * g
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
-        pts = pts.astype(float)
-        pts.setflags(write=False)
-        _LATTICE_CACHE[key] = pts
-    return pts
-
-
 def _check_eval_args(m, tau, tol):
     if m.g != tau.g:
         raise ValueError("genus mismatch")
     if tau.g > MAX_NUMERIC_GENUS:
         raise ValueError("numeric genus cap exceeded: g=%d > %d" % (tau.g, MAX_NUMERIC_GENUS))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive: %r" % tol)
     if tol < MIN_TOL:
         raise ValueError("tolerance below achievable precision: %g" % tol)
 
 
-def _theta_sum(tau, eps, delta, z, multi_indices, tol):
-    """Shared lattice pass returning one value per derivative multi-index."""
-    g = len(eps)
-    lam = tau.lambda_min()
-    z = np.zeros(g, dtype=complex) if z is None else np.asarray(z, dtype=complex)
-    ynorm = float(np.linalg.norm(z.imag))
-    order = max((sum(a) for a in multi_indices), default=0)
-    radius = _truncation_radius(g, lam, ynorm, order, tol)
-    q = _lattice(g, radius) + np.asarray(eps, dtype=float) / 2.0
+def _ellipsoid_radius(tau, ynorm, order, tol):
+    """The smallest whole-number radius R for which the terms of derivative
+    order <= `order` outside the ellipsoid ||q|| < R sum to less than tol.
+
+    Here ||q||^2 = q^t Y q with Y = Im tau, and ynorm = |Im z|.  Distinct
+    points of eps/2 + Z^g are at least rho = sqrt(lambda_min(Y)) apart in
+    this norm, so balls of radius rho/2 about them are disjoint and at most
+    ((2r + rho)/rho)^g of them have ||q|| < r.  A point with ||q|| < r1 has
+    |q| <= r1/rho, so its term, differentiated k <= order times, is at most
+        (1 + 2 pi r1/rho)^order * exp(-pi ||q||^2 + 2 pi r1 ynorm/rho).
+    The unit shell r0 <= ||q|| < r1 = r0 + 1 therefore contributes at most
+        s(r0) = (1 + 2 r1/rho)^g (1 + 2 pi r1/rho)^order
+                * exp(-pi r0^2 + 2 pi r1 ynorm/rho).
+    log s is concave, so the ratio s(r0 + 1)/s(r0) never increases: once
+    it is at most 1/2 the shells from R outward sum to at most 2 s(R).  R is
+    certified when s(R + 1) <= s(R)/2 and 2 s(R) <= tol.  The certified
+    radii form a half-line, found by doubling and then bisection.
+    """
+    g = tau.g
+    rho = math.sqrt(tau.lambda_min())
+    log_half_tol = math.log(tol / 2.0)
+
+    def log_shell(r0):
+        r1 = r0 + 1.0
+        return (g * math.log1p(2.0 * r1 / rho)
+                + order * math.log1p(2.0 * math.pi * r1 / rho)
+                - math.pi * r0 * r0 + 2.0 * math.pi * r1 * ynorm / rho)
+
+    def certified(r):
+        s = log_shell(r)
+        return log_shell(r + 1.0) <= s - math.log(2.0) and s <= log_half_tol
+
+    lo, hi = 0, 1
+    while not certified(hi):
+        lo, hi = hi, 2 * hi
+        if hi > 2**60:
+            raise ValueError("tolerance %g unreachable (|Im z| = %g)" % (tol, ynorm))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _ellipsoid_points(tau, shift, radius):
+    """The points q of shift + Z^g with q^t (Im tau) q <= radius^2, as rows.
+
+    Fincke-Pohst, vectorised: with Im tau = U^t U (U upper triangular),
+    q^t (Im tau) q = sum_i U_ii^2 (q_i - c_i)^2 where c_i depends only on
+    q_{i+1}, ..., q_{g-1}.  The coordinates are fixed from the last one
+    down; each layer extends every partial point by the whole interval of
+    q_i that what is left of radius^2 allows.  A layer is counted before it
+    is allocated, and ValueError is raised if it would exceed MAX_POINTS.
+    """
+    g = tau.g
+    u = tau._cholesky.T
+    q = np.zeros((1, g))
+    # a hair beyond the radius, so rounding cannot drop a point inside it
+    remaining = np.array([(radius + 1e-9) ** 2])
+    for i in range(g - 1, -1, -1):
+        center = -(q[:, i + 1:] @ u[i, i + 1:]) / u[i, i]
+        half = np.sqrt(np.maximum(remaining, 0.0)) / u[i, i]
+        # q_i = shift_i + n must lie in [center - half, center + half]
+        first = np.ceil(center - half - shift[i])
+        counts = np.maximum(np.floor(center + half - shift[i]) - first + 1.0, 0.0)
+        total = counts.sum()
+        if total > MAX_POINTS:
+            raise ValueError(
+                "theta sum needs %.3g lattice points at radius %d, above the "
+                "budget of %d (near-degenerate Im tau or unreachable tolerance)"
+                % (total, radius, MAX_POINTS))
+        counts = counts.astype(np.intp)
+        parent = np.arange(counts.size).repeat(counts)
+        # child k of parent p is its (k - starts[p])-th point on the interval
+        starts = np.cumsum(counts) - counts
+        qi = (first - starts)[parent] + np.arange(int(total)) + shift[i]
+        remaining = remaining[parent] - (u[i, i] * (qi - center[parent])) ** 2
+        q = q[parent]
+        q[:, i] = qi
+    return q
+
+
+def _lattice_sums(tau, eps, shift_z, radius, weights):
+    """The lattice kernel: sum over the points q of eps/2 + Z^g inside the
+    ellipsoid of the given radius of exp(pi i (q^t tau q + 2 q . shift_z))
+    times each column of the N x K matrix weights(q)."""
+    q = _ellipsoid_points(tau, np.asarray(eps, dtype=float) / 2.0, radius)
     quad = np.einsum("ij,jk,ik->i", q, tau.entries, q)
-    lin = q @ (2.0 * (z + np.asarray(delta, dtype=float) / 2.0))
-    terms = np.exp(np.pi * 1j * (quad + lin))
-    out = []
-    for alpha in multi_indices:
-        poly = terms
-        total = sum(alpha)
-        if total:
-            factor = np.ones(q.shape[0])
-            for a, k in enumerate(alpha):
-                if k:
-                    factor = factor * q[:, a] ** k
-            poly = terms * factor * (2j * np.pi) ** total
-        out.append(complex(np.sum(poly)))
-    return out
+    terms = np.exp(np.pi * 1j * (quad + 2.0 * (q @ shift_z)))
+    return terms @ weights(q)
+
+
+def _theta_sum(tau, eps, delta, z, multi_indices, tol):
+    """One lattice pass returning one value per derivative multi-index."""
+    z = np.zeros(tau.g, dtype=complex) if z is None else np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
+    alphas = np.array(multi_indices, dtype=int).reshape(len(multi_indices), tau.g)
+    orders = alphas.sum(axis=1)
+    radius = _ellipsoid_radius(tau, math.hypot(*z.imag),
+                               int(orders.max(initial=0)), tol)
+
+    def monomials(q):
+        return np.prod(q[:, None, :] ** alphas, axis=2) * (2j * np.pi) ** orders
+
+    shift_z = z + np.asarray(delta, dtype=float) / 2.0
+    return [complex(v) for v in _lattice_sums(tau, eps, shift_z, radius, monomials)]
 
 
 def eval_theta(m, tau, z=None, deriv=None, tol=DEFAULT_TOL, max_order=MAX_DERIV_ORDER):
@@ -206,24 +241,19 @@ def eval_theta_many(m, tau, multi_indices, z=None, tol=DEFAULT_TOL,
 
 
 def theta_constants_batch(tau, characteristics, tol=DEFAULT_TOL):
-    """Theta constants for many characteristics, sharing the lattice pass
-    among characteristics with equal eps (the delta only contributes a
-    quarter-period phase per lattice point)."""
-    out = {}
+    """Theta constants for many characteristics, one lattice pass per eps:
+    delta only contributes the phase exp(pi i q . delta) per lattice point."""
     by_eps = {}
     for m in characteristics:
         _check_eval_args(m, tau, tol)
         by_eps.setdefault(m.eps, []).append(m)
-    lam = tau.lambda_min()
-    radius = _truncation_radius(tau.g, lam, 0.0, 0, tol)
+    radius = _ellipsoid_radius(tau, 0.0, 0, tol)
+    out = {}
     for eps, group in by_eps.items():
-        q = _lattice(tau.g, radius) + np.asarray(eps, dtype=float) / 2.0
-        quad_terms = np.exp(np.pi * 1j * np.einsum("ij,jk,ik->i", q, tau.entries, q))
         deltas = np.array([m.delta for m in group], dtype=float)
-        phases = np.exp(np.pi * 1j * (q @ deltas.T))
-        values = quad_terms @ phases
-        for m, v in zip(group, values):
-            out[m] = complex(v)
+        values = _lattice_sums(tau, eps, np.zeros(tau.g), radius,
+                               lambda q: np.exp(np.pi * 1j * (q @ deltas.T)))
+        out.update(zip(group, map(complex, values)))
     return out
 
 
@@ -265,17 +295,10 @@ def tau_derivative(m, tau, pair, tol=DEFAULT_TOL):
 
 
 def tau_gradient(m, tau, tol=DEFAULT_TOL):
-    """All d theta_m / d tau_{jk}, j <= k, as a symmetric g x g array,
-    computed in one lattice pass."""
-    g = m.g
-    idx = [(a, b) for a in range(g) for b in range(a, g)]
-    vals = eval_theta_many(m, tau, [_unit(g, a, b) for a, b in idx], tol=tol)
-    out = np.zeros((g, g), dtype=complex)
-    for (a, b), v in zip(idx, vals):
-        d = v / (4j * np.pi) if a == b else v / (2j * np.pi)
-        out[a, b] = d
-        out[b, a] = d
-    return out
+    """All d theta_m / d tau_{jk}, j <= k, as a symmetric g x g array: the
+    z-Hessian rescaled by the heat equation (see tau_derivative)."""
+    diagonal = np.eye(m.g, dtype=bool)
+    return hessian(m, tau, tol=tol) / np.where(diagonal, 4j * np.pi, 2j * np.pi)
 
 
 def numerical_rank(matrix, rel_tol=1e-7):

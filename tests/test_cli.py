@@ -110,6 +110,27 @@ class TestThetaEval:
         assert run(["theta-eval", "--tau", tau_file,
                     "--char", "[00;00]"]) == EXIT_USAGE
 
+    def test_genus_above_numeric_cap(self, tmp_path, capsys):
+        path = tmp_path / "tau6.json"
+        path.write_text(json.dumps(PeriodMatrix.diagonal([1j] * 6).to_json()))
+        code = run(["theta-eval", "--tau", str(path), "--char", "[000000;000000]"])
+        assert code == EXIT_USAGE
+        assert "genus cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "1e-20"])
+    def test_bad_tolerance(self, tau_file, tol, capsys):
+        code = run(["theta-eval", "--tau", tau_file, "--char", "[000;000]",
+                    "--tol", tol])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: tolerance")
+
+    def test_unreachable_tolerance(self, tmp_path, capsys):
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(PeriodMatrix.diagonal([0.02j] * 5).to_json()))
+        code = run(["theta-eval", "--tau", str(path), "--char", "[00000;00000]"])
+        assert code == EXIT_USAGE
+        assert "budget" in capsys.readouterr().err
+
 
 class TestVerificationJobs:
     def test_expand_verify(self, tmp_path):

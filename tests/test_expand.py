@@ -323,6 +323,10 @@ class TestSlopeFitting:
         with pytest.raises(ValueError):
             fit_slope([0.1, 0.2], [1, 1], 1)
 
+    def test_ladder_and_magnitudes_must_match(self):
+        with pytest.raises(ValueError, match="3 magnitudes"):
+            fit_slope([0.1, 0.05], [1.0, 0.5, 0.25], 1)
+
     def test_vanishing_order_on_theta(self):
         # theta_{m0} itself vanishes to order 1 along a generic ray
         g = 4

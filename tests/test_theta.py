@@ -5,6 +5,8 @@ module's vectorized numpy sum and of its truncation-radius logic), known
 closed-form values, and finite differences for every analytic derivative.
 """
 
+import time
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from thetadiag.chars import EVEN, ODD, Characteristic, enumerate_characteristics
 from thetadiag.theta import (
     MAX_DERIV_ORDER,
     MAX_NUMERIC_GENUS,
+    MAX_POINTS,
     PeriodMatrix,
+    _ellipsoid_points,
     eval_theta,
     eval_theta_many,
     f_phi_psi,
@@ -29,41 +33,52 @@ from thetadiag.theta import (
 
 
 def mpmath_theta(m, tau_entries, z=None, deriv=None, radius=25, dps=40):
-    """Independent extended-precision lattice sum."""
+    """Independent extended-precision lattice sum over the whole cube
+    |p|_inf <= radius, with the exponent built up coordinate by coordinate."""
     g = m.g
+    deriv = deriv or (0,) * g
     with mpmath.workdps(dps):
-        tau = mpmath.matrix(g)
-        for a in range(g):
-            for b in range(g):
-                tau[a, b] = mpmath.mpc(tau_entries[a][b])
+        tau = [[mpmath.mpc(tau_entries[a][b]) for b in range(g)] for a in range(g)]
         zv = [mpmath.mpc(z[a]) if z is not None else mpmath.mpc(0) for a in range(g)]
         half = mpmath.mpf(1) / 2
-        total = mpmath.mpc(0)
         pii = mpmath.mpc(0, mpmath.pi)
+        # per coordinate a, for each q_a = p_a + eps_a/2: the terms of
+        # q^t tau q + 2 q.(z + delta/2) in q_a alone, and (2 pi i q_a)^deriv_a
+        steps = []
+        for a in range(g):
+            qs = [n + m.eps[a] * half for n in range(-radius, radius + 1)]
+            steps.append([
+                (qa, tau[a][a] * qa * qa + 2 * qa * (zv[a] + m.delta[a] * half),
+                 (2 * pii * qa) ** deriv[a])
+                for qa in qs
+            ])
 
-        def rec(coords):
-            nonlocal total
-            if len(coords) == g:
-                q = [coords[a] + m.eps[a] * half for a in range(g)]
-                quad = mpmath.mpc(0)
-                for a in range(g):
-                    for b in range(g):
-                        quad += q[a] * tau[a, b] * q[b]
-                lin = mpmath.mpc(0)
-                for a in range(g):
-                    lin += q[a] * (zv[a] + m.delta[a] * half)
-                term = mpmath.exp(pii * (quad + 2 * lin))
-                if deriv:
-                    for a in range(g):
-                        for _ in range(deriv[a]):
-                            term *= 2 * pii * q[a]
-                total += term
-                return
-            for n in range(-radius, radius + 1):
-                rec(coords + [n])
+        def rec(a, q, exponent, factor):
+            # exponent and factor hold the contributions of q_0 .. q_{a-1}
+            if a == g:
+                return factor * mpmath.exp(pii * exponent)
+            cross = 2 * mpmath.fsum(tau[a][b] * q[b] for b in range(a))
+            return mpmath.fsum(
+                rec(a + 1, q + [qa], exponent + own + qa * cross, factor * power)
+                for qa, own, power in steps[a]
+            )
 
-        rec([])
-        return complex(total)
+        return complex(rec(0, [], mpmath.mpc(0), mpmath.mpc(1)))
+
+
+def cube_tail_bound(tau_entries, radius, order):
+    """Bound on what mpmath_theta(..., radius) omits at z = 0, for derivative
+    order <= order: the points with |p|_inf = k > radius number at most
+    (2k+1)^g - (2k-1)^g, have |q| >= k - 1/2 and |q|_inf <= k + 1/2."""
+    tau_entries = np.asarray(tau_entries)
+    g = tau_entries.shape[0]
+    lam = float(np.linalg.eigvalsh(tau_entries.imag)[0])
+    return sum(
+        ((2 * k + 1) ** g - (2 * k - 1) ** g)
+        * (2 * np.pi * (k + 0.5)) ** order
+        * np.exp(-np.pi * lam * (k - 0.5) ** 2)
+        for k in range(radius + 1, radius + 60)
+    )
 
 
 class TestPeriodMatrix:
@@ -74,6 +89,11 @@ class TestPeriodMatrix:
     def test_rejects_non_positive_imaginary(self):
         with pytest.raises(ValueError):
             PeriodMatrix([[1j, 2j], [2j, 1j]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PeriodMatrix([[1j, 0.1], [0.1, bad]])
 
     def test_json_roundtrip(self):
         tau = PeriodMatrix([[0.3 + 1.1j, 0.05j], [0.05j, -0.2 + 0.9j]])
@@ -128,6 +148,25 @@ class TestAgainstOracles:
         m = Characteristic.parse("[11;11]")
         ours = eval_theta(m, PeriodMatrix(tau), z=z, tol=1e-12)
         assert abs(ours - mpmath_theta(m, tau, z=z, radius=15)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "char", ["[110;110]", "[1100;1100]", "[11010;11001]"]
+    )
+    def test_higher_genus_derivatives_vs_mpmath(self, char):
+        # orders 0, 2 and 4 at the default tolerance and at hess-minor's
+        # theta_tol; the oracle's cube is large enough that its own tail
+        # leaves the comparison room below tol
+        m = Characteristic.parse(char)
+        g = m.g
+        tau = _random_tau(g, np.random.default_rng(20 + g))
+        radius = 4
+        tail = cube_tail_bound(tau.entries, radius, order=4)
+        assert tail < 1e-14
+        for deriv in [(0,) * g, (1, 1) + (0,) * (g - 2), (2, 1, 1) + (0,) * (g - 3)]:
+            exact = mpmath_theta(m, tau.entries, deriv=deriv, radius=radius, dps=30)
+            for tol in (1e-10, 1e-13):
+                ours = eval_theta(m, tau, deriv=deriv, tol=tol)
+                assert abs(ours - exact) + tail < tol
 
 
 class TestStructuralIdentities:
@@ -294,6 +333,35 @@ class TestBatchAndBounds:
                 Characteristic.zero(MAX_NUMERIC_GENUS + 1),
                 PeriodMatrix.diagonal([1j] * (MAX_NUMERIC_GENUS + 1)),
             )
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            eval_theta(Characteristic.zero(1), PeriodMatrix([[1j]]), tol=tol)
+
+    def test_point_budget_refuses_near_degenerate_tau(self):
+        # lambda_min = 0.02: the ellipsoid holds ~1e8 points at tol 1e-10
+        tau = PeriodMatrix.diagonal([0.02j] * 5)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="budget of %d" % MAX_POINTS):
+            eval_theta(Characteristic.zero(5), tau)
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_ellipsoid_points_match_filtered_cube(self, g):
+        # reference: every point of a cube that contains the ellipsoid,
+        # kept when q^t Y q <= R^2
+        rng = np.random.default_rng(30 + g)
+        tau = _random_tau(g, rng)
+        y = tau.entries.imag
+        shift = rng.integers(0, 2, size=g) / 2.0
+        radius = 3
+        side = int(np.ceil(radius / np.sqrt(tau.lambda_min()))) + 1
+        axes = [np.arange(-side, side + 1)] * g
+        cube = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g) + shift
+        inside = np.einsum("ij,jk,ik->i", cube, y, cube) <= radius**2
+        expected = sorted(map(tuple, cube[inside]))
+        assert sorted(map(tuple, _ellipsoid_points(tau, shift, radius))) == expected
 
     def test_derivative_order_cap(self):
         tau = PeriodMatrix([[1j]])
