@@ -115,14 +115,14 @@ def enumerate_characteristics(g, parity_filter=None, class_filter=None):
     if g > MAX_ENUM_GENUS:
         raise ValueError("enumeration bound exceeded: g=%d > %d" % (g, MAX_ENUM_GENUS))
     out = []
-    for eps in itertools.product((0, 1), repeat=g):
-        for delta in itertools.product((0, 1), repeat=g):
-            m = Characteristic(eps, delta)
-            if parity_filter is not None and parity(m) != parity_filter:
-                continue
-            if class_filter is not None and scalar_class(m) != class_filter:
-                continue
-            out.append(m)
+    # masks count up in lexicographic (eps, delta) order; see _char_to_mask
+    for mask in range(1 << 2 * g):
+        l = ((mask >> g) & mask).bit_count()
+        if parity_filter is not None and (ODD if l % 2 else EVEN) != parity_filter:
+            continue
+        if class_filter is not None and l != class_filter:
+            continue
+        out.append(_mask_to_char(mask, g))
     return out
 
 
@@ -245,12 +245,27 @@ def _gf2_solve(columns, target):
 
 
 def _char_to_mask(m):
-    bits = m.eps + m.delta
+    """m as a 2g-bit int: the bits of eps then delta, most significant first.
+
+    So eps sits in the high g bits and delta in the low g bits, the scalar
+    class is ((mask >> g) & mask).bit_count(), and the numeric order of masks
+    is the lexicographic (eps, delta) order of characteristics.
+    """
     mask = 0
-    for i, b in enumerate(bits):
-        if b:
-            mask |= 1 << i
+    for bit in m.eps + m.delta:
+        mask = mask << 1 | bit
     return mask
+
+
+@lru_cache(maxsize=1024)
+def _bits(x, g):
+    """The g-bit int x as a tuple of bits, most significant first."""
+    return tuple((x >> k) & 1 for k in range(g - 1, -1, -1))
+
+
+def _mask_to_char(mask, g):
+    """Inverse of _char_to_mask for genus g."""
+    return Characteristic(_bits(mask >> g, g), _bits(mask & ((1 << g) - 1), g))
 
 
 def decompose(m, fs):
@@ -300,18 +315,22 @@ def is_essential_basis(members):
     return len(kernel[0]) % 2 == 1
 
 
-def sums_of_fewer_than_g(fs):
-    """Map m -> subset size, over all sums of k < g essential members."""
-    members = fs.essential_members()
-    g = fs.g
+def _sums_of_fewer_than_g_masks(fs):
+    """sums_of_fewer_than_g with the sums as masks."""
+    members = [_char_to_mask(x) for x in fs.essential_members()]
     out = {}
-    for k in range(g):
-        for combo in itertools.combinations(range(len(members)), k):
-            total = Characteristic.zero(g)
-            for i in combo:
-                total = total + members[i]
+    for k in range(fs.g):
+        for combo in itertools.combinations(members, k):
+            total = 0
+            for x in combo:
+                total ^= x
             out[total] = k
     return out
+
+
+def sums_of_fewer_than_g(fs):
+    """Map m -> subset size, over all sums of k < g essential members."""
+    return {_mask_to_char(x, fs.g): k for x, k in _sums_of_fewer_than_g_masks(fs).items()}
 
 
 def hyperelliptic_vanishing_set(g):
@@ -323,14 +342,15 @@ def hyperelliptic_vanishing_set(g):
     if g > MAX_ENUM_GENUS:
         raise ValueError("bound exceeded: g=%d > %d" % (g, MAX_ENUM_GENUS))
     fs = special_fundamental_system(g)
-    b = b_char(fs)
+    b = _char_to_mask(b_char(fs))
     out = set()
-    for m, k in sums_of_fewer_than_g(fs).items():
-        shifted = m + b
-        if is_even(shifted):
+    for x, k in _sums_of_fewer_than_g_masks(fs).items():
+        shifted = x ^ b
+        if ((shifted >> g) & shifted).bit_count() % 2 == 0:
             # cross-check against the mod-4 parity rule
-            assert k % 4 in (g % 4, (g + 1) % 4), (k, g)
-            out.add(shifted)
+            if k % 4 not in (g % 4, (g + 1) % 4):
+                raise RuntimeError("mod-4 parity rule fails: k=%d, g=%d" % (k, g))
+            out.add(_mask_to_char(shifted, g))
     return out
 
 

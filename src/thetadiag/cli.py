@@ -49,14 +49,37 @@ def _parse_ladder(text):
         a, b = _power(lo), _power(hi)
         if a < b:
             a, b = b, a
-        return [2.0**k for k in range(a, b - 1, -1)]
-    try:
-        ladder = [float(x) for x in text.split(",")]
-    except ValueError:
-        raise UsageError("cannot parse ladder %r" % text)
-    if not ladder:
-        raise UsageError("empty ladder")
+        try:
+            ladder = [2.0**k for k in range(a, b - 1, -1)]
+        except OverflowError:
+            raise UsageError("ladder bounds out of range: %r" % text)
+    else:
+        try:
+            ladder = [float(x) for x in text.split(",")]
+        except ValueError:
+            raise UsageError("cannot parse ladder %r" % text)
+    if len(ladder) < 2:
+        raise UsageError("a ladder needs at least two points: %r" % text)
+    if not all(math.isfinite(e) and e > 0 for e in ladder):
+        raise UsageError("ladder points must be finite and positive: %r" % text)
+    if any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise UsageError("ladder must be strictly decreasing: %r" % text)
     return ladder
+
+
+def _parse_tol(text):
+    try:
+        tol = float(text)
+    except ValueError:
+        raise UsageError("cannot parse tolerance %r" % text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError("tolerance must be finite and positive: %r" % text)
+    return tol
+
+
+def _require_genus(g, lo, hi):
+    if not lo <= g <= hi:
+        raise UsageError("need %d <= g <= %d" % (lo, hi))
 
 
 def _parse_complex_vector(text):
@@ -137,6 +160,7 @@ def _cmd_char(args, rng):
 
 
 def _cmd_orbit(args, rng):
+    _require_genus(args.g, 1, chars.MAX_ENUM_GENUS)
     if args.seed_char:
         m = _parse_char(args.seed_char)
         if m.g != args.g:
@@ -195,6 +219,7 @@ def _cmd_theta_eval(args, rng):
 
 
 def _cmd_expand_verify(args, rng):
+    _require_genus(args.g, 2, theta.MAX_NUMERIC_GENUS)
     checks = []
     ls = [args.l] if args.l else [l for l in (2, 4) if l <= args.g]
     for l in ls:
@@ -212,8 +237,7 @@ def _cmd_expand_verify(args, rng):
 
 
 def _cmd_grad_verify(args, rng):
-    if args.g < 3:
-        raise UsageError("need g >= 3")
+    _require_genus(args.g, 3, theta.MAX_NUMERIC_GENUS)
     checks = []
     t = theta.sample_generic_diagonal(args.g, 3, rng)
     for a in range(1, args.g + 1):
@@ -232,8 +256,7 @@ def _cmd_grad_verify(args, rng):
 
 
 def _cmd_hess_minor(args, rng):
-    if not 4 <= args.g <= 5:
-        raise UsageError("need 4 <= g <= 5")
+    _require_genus(args.g, 4, 5)
     which = [args.which] if args.which else list(loci.MINOR_CHECKS)
     checks = []
     for name in which:
@@ -259,6 +282,7 @@ def _cmd_loci_test(args, rng):
     checks = []
     if args.tau:
         tau = _load_tau(args.tau)
+        _require_genus(tau.g, 1, theta.MAX_NUMERIC_GENUS)
         v = loci.is_diagonal_orbit(tau, tol=args.tol)
         checks.append(_check("diagonal-orbit detector", True, verdict=v.verdict,
                              tau_digest=v.tau_digest))
@@ -271,6 +295,7 @@ def _cmd_loci_test(args, rng):
                              verdict=v.verdict))
         return checks
     g = args.g
+    _require_genus(g, 2, theta.MAX_NUMERIC_GENUS)
     t = theta.sample_generic_diagonal(g, 2, rng)
     diag = theta.PeriodMatrix.diagonal(t)
     checks.append(
@@ -409,6 +434,7 @@ def _bracket_example_checks():
 
 
 def _cmd_report_all(args, rng):
+    _require_genus(args.g, 1, theta.MAX_NUMERIC_GENUS)
     checks = []
     # counting
     for g in range(1, 9):
@@ -539,7 +565,7 @@ def _build_parser():
     def common(p, g_default=4):
         p.add_argument("--g", type=int, default=g_default)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=theta.DEFAULT_TOL)
+        p.add_argument("--tol", type=_parse_tol, default=theta.DEFAULT_TOL)
         p.add_argument("--ladder", type=_parse_ladder, default=None,
                        help="epsilon ladder, e.g. 2^-3..2^-9")
         p.add_argument("--out", default=None, help="report path (default stdout)")
@@ -615,10 +641,10 @@ def _write_report(report, out, fmt):
 
 def run(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    rng = np.random.default_rng(args.seed)
     try:
-        checks = args.func(args, rng)
+        # the --tol and --ladder types raise UsageError, not argparse errors
+        args = parser.parse_args(argv)
+        checks = args.func(args, np.random.default_rng(args.seed))
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

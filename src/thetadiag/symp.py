@@ -1,17 +1,23 @@
 """The affine action of Sp(2g, Z_2) on theta characteristics, and orbits.
 
 Only the mod-2 quotient of the integral symplectic group acts on
-characteristics, so all matrices here live over Z_2 (numpy uint8 arrays,
-reduced mod 2 after every product).
+characteristics.  An element is held as its four g x g blocks over Z_2
+(numpy uint8 arrays), which the group law multiplies.  For the action each
+element is compiled once into an affine map on characteristics as 2g-bit
+masks (chars._char_to_mask): one image mask per input bit plus a shift
+mask, so acting is a XOR of columns and an orbit is a breadth-first search
+over ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .chars import EVEN, Characteristic, even_count, odd_count, parity
+from .chars import (EVEN, Characteristic, _char_to_mask, _mask_to_char, even_count,
+                    odd_count, parity)
 
 
 def _mat(rows):
@@ -64,6 +70,24 @@ class SpMod2Element:
     def key(self):
         return self.matrix().tobytes()
 
+    @cached_property
+    def _affine(self):
+        """The action (see act) on 2g-bit masks as (columns, shift).
+
+        columns[k] is the image of the mask 1 << k under the linear part;
+        shift is the image of the zero characteristic.
+        """
+        # numpy rows and columns in mask bit order, most significant first:
+        # eps_1..eps_g, delta_1..delta_g
+        linear = np.block([[self.d, self.c], [self.b, self.a]]) % 2
+        shift = np.concatenate([np.diag(self.c @ self.d.T), np.diag(self.a @ self.b.T)]) % 2
+
+        def to_mask(bits):
+            return int("".join(map(str, bits)), 2)
+
+        columns = tuple(to_mask(linear[:, j]) for j in reversed(range(2 * self.g)))
+        return columns, to_mask(shift)
+
     @staticmethod
     def identity(g):
         eye = np.eye(g, dtype=np.uint8)
@@ -73,6 +97,15 @@ class SpMod2Element:
     @staticmethod
     def from_blocks(a, b, c, d):
         return SpMod2Element(_mat(a), _mat(b), _mat(c), _mat(d))
+
+
+def _apply(affine, mask):
+    columns, image = affine
+    for column in columns:
+        if mask & 1:
+            image ^= column
+        mask >>= 1
+    return image
 
 
 def act(sigma, m):
@@ -88,13 +121,7 @@ def act(sigma, m):
     """
     if sigma.g != m.g:
         raise ValueError("genus mismatch")
-    eps = np.array(m.eps, dtype=np.uint8)
-    delta = np.array(m.delta, dtype=np.uint8)
-    shift_eps = np.diag((sigma.c @ sigma.d.T) % 2)
-    shift_delta = np.diag((sigma.a @ sigma.b.T) % 2)
-    new_eps = (sigma.d @ eps + sigma.c @ delta + shift_eps) % 2
-    new_delta = (sigma.b @ eps + sigma.a @ delta + shift_delta) % 2
-    return Characteristic(tuple(int(x) for x in new_eps), tuple(int(x) for x in new_delta))
+    return _mask_to_char(_apply(sigma._affine, _char_to_mask(m)), m.g)
 
 
 def sigma0():
@@ -186,18 +213,23 @@ def orbit(m, generators):
     """
     if not generators:
         raise ValueError("need at least one generator")
-    seen = {m}
-    frontier = [m]
+    if any(gen.g != m.g for gen in generators):
+        raise ValueError("genus mismatch")
+    maps = [gen._affine for gen in generators]
+    start = _char_to_mask(m)
+    seen = {start}
+    frontier = [start]
     while frontier:
         new_frontier = []
         for x in frontier:
-            for gen in generators:
-                y = act(gen, x)
+            for affine in maps:
+                y = _apply(affine, x)
                 if y not in seen:
                     seen.add(y)
                     new_frontier.append(y)
         frontier = new_frontier
-    return sorted(seen, key=lambda ch: (ch.eps, ch.delta))
+    # mask order is the lexicographic (eps, delta) order
+    return [_mask_to_char(x, m.g) for x in sorted(seen)]
 
 
 @dataclass(frozen=True)
@@ -241,7 +273,8 @@ def verify_transitivity(g):
     )
     even_orbit = orbit(even_seed, gens)
     odd_orbit = orbit(odd_seed, gens)
-    assert all(parity(x) == EVEN for x in even_orbit)
+    if not all(parity(x) == EVEN for x in even_orbit):
+        raise RuntimeError("the even orbit of genus %d holds an odd characteristic" % g)
     return OrbitReport(
         g=g,
         seed=even_seed,

@@ -11,6 +11,8 @@ from thetadiag.chars import (
     EVEN,
     ODD,
     Characteristic,
+    _char_to_mask,
+    _mask_to_char,
     b_char,
     decompose,
     enumerate_characteristics,
@@ -35,6 +37,20 @@ def bits(g):
 
 def characteristics(g):
     return st.tuples(bits(g), bits(g)).map(lambda p: Characteristic(*p))
+
+
+def reference_enumeration(g, parity_filter=None, class_filter=None):
+    """enumerate_characteristics by itertools.product over bit tuples."""
+    out = []
+    for eps in itertools.product((0, 1), repeat=g):
+        for delta in itertools.product((0, 1), repeat=g):
+            m = Characteristic(eps, delta)
+            if parity_filter is not None and parity(m) != parity_filter:
+                continue
+            if class_filter is not None and scalar_class(m) != class_filter:
+                continue
+            out.append(m)
+    return out
 
 
 class TestCharacteristic:
@@ -105,6 +121,26 @@ class TestParity:
         with pytest.raises(ValueError):
             enumerate_characteristics(9)
 
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_enumeration_matches_reference(self, g):
+        for parity_filter in (None, EVEN, ODD):
+            for class_filter in (None,) + tuple(range(g + 1)):
+                assert enumerate_characteristics(g, parity_filter, class_filter) == \
+                    reference_enumeration(g, parity_filter, class_filter)
+
+
+class TestMasks:
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_roundtrip_in_lexicographic_order(self, g):
+        ordered = reference_enumeration(g)
+        assert [_char_to_mask(m) for m in ordered] == list(range(4**g))
+        assert [_mask_to_char(_char_to_mask(m), g) for m in ordered] == ordered
+
+    def test_layout(self):
+        m = Characteristic.parse("[110;011]")
+        assert _char_to_mask(m) == 0b110011
+        assert ((_char_to_mask(m) >> 3) & _char_to_mask(m)).bit_count() == scalar_class(m)
+
 
 class TestFundamentalSystem:
     @pytest.mark.parametrize("g", range(2, 7))
@@ -164,6 +200,18 @@ class TestHyperellipticVanishing:
     @pytest.mark.parametrize("g", range(2, 7))
     def test_vanish_lemma(self, g):
         assert vanish_lemma_check(g)
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_sums_match_chained_addition(self, g):
+        members = special_fundamental_system(g).essential_members()
+        expected = {}
+        for k in range(g):
+            for combo in itertools.combinations(members, k):
+                total = Characteristic.zero(g)
+                for m in combo:
+                    total = total + m
+                expected[total] = k
+        assert sums_of_fewer_than_g(special_fundamental_system(g)) == expected
 
     @pytest.mark.parametrize("g", range(2, 6))
     def test_members_are_even_shifts(self, g):

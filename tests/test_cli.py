@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thetadiag import cli
+from thetadiag.chars import MAX_ENUM_GENUS
 from thetadiag.cli import EXIT_PASS, EXIT_USAGE, _parse_ladder, run
 from thetadiag.theta import PeriodMatrix
 
@@ -34,6 +35,12 @@ class TestPlumbing:
     def test_ladder_rejects_garbage(self):
         with pytest.raises(cli.UsageError):
             _parse_ladder("3^-1..3^-2")
+
+    @pytest.mark.parametrize("text", ["0.1,0.2", "0.1,0.1", "0.1,-0.05", "0.1,nan",
+                                      "inf,0.1", "0.1", "2^-3..2^-3", "2^2000..2^1"])
+    def test_ladder_rejects_bad_values(self, text):
+        with pytest.raises(cli.UsageError):
+            _parse_ladder(text)
 
     def test_report_envelope(self, tmp_path):
         code, report = run_json(["char", "classify", "[00;00]"], tmp_path)
@@ -81,6 +88,11 @@ class TestOrbit:
 
     def test_genus_mismatch(self):
         assert run(["orbit", "--g", "3", "--seed-char", "[00;00]"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("g", [0, MAX_ENUM_GENUS + 1])
+    def test_genus_out_of_range(self, g, capsys):
+        assert run(["orbit", "--g", str(g)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: need 1 <= g <= %d\n" % MAX_ENUM_GENUS
 
 
 class TestThetaEval:
@@ -164,6 +176,42 @@ class TestVerificationJobs:
         assert code == EXIT_PASS
         labels = [c["label"] for c in report["checks"]]
         assert any("diagonal-orbit" in x for x in labels)
+
+
+class TestInputContract:
+    """Malformed input exits 2 with one line on stderr, before any job runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["expand-verify", "--g", "9"],
+        ["expand-verify", "--g", "1"],
+        ["grad-verify", "--g", "6"],
+        ["loci-test", "--g", "1"],
+        ["loci-test", "--g", "6"],
+        ["report-all", "--g", "0"],
+        ["report-all", "--g", "6"],
+    ])
+    def test_genus_outside_the_numeric_cap(self, argv, capsys):
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: need ")
+
+    def test_loci_test_tau_above_the_numeric_cap(self, tmp_path, capsys):
+        path = tmp_path / "tau6.json"
+        path.write_text(json.dumps(PeriodMatrix.diagonal([1j] * 6).to_json()))
+        assert run(["loci-test", "--tau", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: need 1 <= g <= 5\n"
+
+    def test_increasing_ladder(self, capsys):
+        code = run(["grad-verify", "--g", "4", "--ladder", "0.1,0.2"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ladder must be strictly decreasing")
+
+    @pytest.mark.parametrize("argv", [["loci-test", "--g", "3"],
+                                      ["hess-minor", "--g", "4", "--which", "D123"]])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5", "abc"])
+    def test_bad_tolerance(self, argv, tol, capsys):
+        assert run(argv + ["--tol", tol]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tolerance" in err and err.count("\n") == 1
 
 
 class TestFormatsAndReproducibility:

@@ -1,12 +1,15 @@
 """The mod-2 symplectic action: group law, parity, orbits, transitivity."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from thetadiag import symp
 from thetadiag.chars import (
     EVEN,
+    ODD,
     Characteristic,
     enumerate_characteristics,
     even_count,
@@ -30,6 +33,23 @@ from thetadiag.symp import (
     stab_diagonal_generators,
     verify_transitivity,
 )
+
+
+def act_oracle(sigma, m):
+    """The action formula of act, as numpy matrix products mod 2."""
+    eps = np.array(m.eps, dtype=np.uint8)
+    delta = np.array(m.delta, dtype=np.uint8)
+    shift_eps = np.diag((sigma.c @ sigma.d.T) % 2)
+    shift_delta = np.diag((sigma.a @ sigma.b.T) % 2)
+    new_eps = (sigma.d @ eps + sigma.c @ delta + shift_eps) % 2
+    new_delta = (sigma.b @ eps + sigma.a @ delta + shift_delta) % 2
+    return Characteristic(tuple(int(x) for x in new_eps), tuple(int(x) for x in new_delta))
+
+
+def elements_under_test(g, rng):
+    """Every generator of every registered set, plus random words."""
+    gens = [gen for make in GENERATOR_SETS.values() for gen in make(g)]
+    return gens + [random_element(g, rng) for _ in range(10)]
 
 
 class TestSpMod2Element:
@@ -100,9 +120,25 @@ class TestAction:
         with pytest.raises(ValueError):
             act(SpMod2Element.identity(2), Characteristic.zero(3))
 
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_compiled_action_matches_matrix_formula(self, g):
+        rng = np.random.default_rng(10 + g)
+        for el in elements_under_test(g, rng):
+            for m in enumerate_characteristics(g):
+                assert act(el, m) == act_oracle(el, m)
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_left_action_on_masks(self, g):
+        rng = np.random.default_rng(20 + g)
+        els = elements_under_test(g, rng)
+        for s1, s2 in itertools.product(els[-4:], els):
+            prod = (s1 * s2)._affine
+            for x in range(4**g):
+                assert symp._apply(prod, x) == symp._apply(s1._affine, symp._apply(s2._affine, x))
+
 
 class TestOrbits:
-    @pytest.mark.parametrize("g", range(2, 7))
+    @pytest.mark.parametrize("g", range(2, 8))
     def test_transitivity(self, g):
         report = verify_transitivity(g)
         assert report.passed
@@ -124,6 +160,26 @@ class TestOrbits:
         for m in orb:
             for gen in gens:
                 assert act(gen, m) in members
+
+    def test_orbit_genus_mismatch(self):
+        with pytest.raises(ValueError):
+            orbit(Characteristic.zero(3), group_generators(2))
+
+    @pytest.mark.parametrize("g", range(2, 5))
+    def test_orbit_matches_oracle_closure(self, g):
+        for name, make in GENERATOR_SETS.items():
+            gens = make(g)
+            for seed in enumerate_characteristics(g)[::4**g // 8]:
+                closure, frontier = {seed}, [seed]
+                while frontier:
+                    frontier = {act_oracle(gen, x) for x in frontier for gen in gens} - closure
+                    closure.update(frontier)
+                assert orbit(seed, gens) == sorted(closure, key=lambda m: (m.eps, m.delta))
+
+    def test_transitivity_check_raises_on_an_odd_member(self, monkeypatch):
+        monkeypatch.setattr(symp, "parity", lambda m: ODD)
+        with pytest.raises(RuntimeError):
+            verify_transitivity(2)
 
     def test_generator_sets_registry(self):
         assert set(GENERATOR_SETS) == {"Gg", "stab_diagonal"}
