@@ -77,6 +77,16 @@ def _parse_tol(text):
     return tol
 
 
+def _parse_directions(text):
+    try:
+        count = int(text)
+    except ValueError:
+        raise UsageError("cannot parse direction count %r" % text)
+    if count < 1:
+        raise UsageError("need at least one direction: %r" % text)
+    return count
+
+
 def _require_genus(g, lo, hi):
     if not lo <= g <= hi:
         raise UsageError("need %d <= g <= %d" % (lo, hi))
@@ -148,8 +158,6 @@ def _slice_checks(result):
 
 def _cmd_char(args, rng):
     checks = []
-    if args.action != "classify":
-        raise UsageError("unknown char action %r" % args.action)
     for text in args.characteristics:
         m = _parse_char(text)
         checks.append(
@@ -167,11 +175,7 @@ def _cmd_orbit(args, rng):
             raise UsageError("seed characteristic genus does not match --g")
     else:
         m = chars.Characteristic.zero(args.g)
-    try:
-        gens = symp.GENERATOR_SETS[args.group](args.g)
-    except KeyError:
-        raise UsageError("unknown generator set %r" % args.group)
-    orb = symp.orbit(m, gens)
+    orb = symp.orbit(m, symp.GENERATOR_SETS[args.group](args.g))
     if args.group == "Gg":
         expected = (
             chars.even_count(args.g)
@@ -260,8 +264,6 @@ def _cmd_hess_minor(args, rng):
     which = [args.which] if args.which else list(loci.MINOR_CHECKS)
     checks = []
     for name in which:
-        if name not in loci.MINOR_CHECKS:
-            raise UsageError("unknown minor check %r" % name)
         t = theta.sample_generic_diagonal(args.g, 2, rng)
         result = loci.minor_identity_check(args.g, t, name, rng, ladder=args.ladder)
         checks.extend(_slice_checks(result))
@@ -593,12 +595,12 @@ def _build_parser():
 
     p = sub.add_parser("expand-verify", help="theta expansion remainder slopes")
     p.add_argument("--l", type=int, default=None)
-    p.add_argument("--directions", type=int, default=10)
+    p.add_argument("--directions", type=_parse_directions, default=10)
     common(p)
     p.set_defaults(func=_cmd_expand_verify)
 
     p = sub.add_parser("grad-verify", help="gradient expansion and slice checks")
-    p.add_argument("--directions", type=int, default=10)
+    p.add_argument("--directions", type=_parse_directions, default=10)
     common(p)
     p.set_defaults(func=_cmd_grad_verify)
 
@@ -642,7 +644,7 @@ def _write_report(report, out, fmt):
 def run(argv=None):
     parser = _build_parser()
     try:
-        # the --tol and --ladder types raise UsageError, not argparse errors
+        # the --tol, --ladder and --directions types raise UsageError
         args = parser.parse_args(argv)
         checks = args.func(args, np.random.default_rng(args.seed))
     except UsageError as exc:

@@ -382,7 +382,9 @@ def default_ladder():
 
 def fit_slope(ladder, magnitudes, target_order, tolerance=DEFAULT_SLOPE_TOL,
               comparison="equal"):
-    """Least-squares log-log slope of |value| against epsilon."""
+    """Least-squares log-log slope of |value| against epsilon.  Exact zeros
+    are left out of the fit, and it needs two others unless every magnitude
+    is below ZERO_RAY_FLOOR (a zero ray, with no slope fitted)."""
     ladder = [float(e) for e in ladder]
     magnitudes = [float(abs(v)) for v in magnitudes]
     if len(ladder) != len(magnitudes):
@@ -397,8 +399,10 @@ def fit_slope(ladder, magnitudes, target_order, tolerance=DEFAULT_SLOPE_TOL,
             tuple(ladder), tuple(magnitudes), float("nan"), float(target_order),
             float(tolerance), comparison, True,
         )
-    xs = np.log([e for e, v in zip(ladder, magnitudes) if v > 0])
-    ys = np.log([v for v in magnitudes if v > 0])
+    points = [(e, v) for e, v in zip(ladder, magnitudes) if v > 0]
+    if len(points) < 2:
+        raise ValueError("a slope needs two nonzero magnitudes, got %d" % len(points))
+    xs, ys = np.log(points).T
     slope = float(np.polyfit(xs, ys, 1)[0])
     return SlopeReport(
         tuple(ladder), tuple(magnitudes), slope, float(target_order),

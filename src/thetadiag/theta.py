@@ -11,9 +11,11 @@ smallest whole number whose rigorous tail bound, aware of the derivative
 order and of Im z, is below the requested tolerance (_ellipsoid_radius);
 a sum needing more than MAX_POINTS points raises ValueError before they
 are allocated.  One pass per eps serves every delta and derivative
-multi-index.  z-derivatives are computed by term-wise differentiation of
-the series, never by finite differences; tau derivatives come from the
-heat equation.
+multi-index: a delta enters as the phase exp(pi i q . delta), an exact
+quarter turn i ** (2q . delta), and a multi-index alpha as the monomial
+q ** alpha, read off a table of powers built by repeated multiplication.
+z-derivatives are computed by term-wise differentiation of the series,
+never by finite differences; tau derivatives come from the heat equation.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ MIN_TOL = 1e-14
 MAX_POINTS = 200_000
 MAX_NUMERIC_GENUS = 5
 MAX_DERIV_ORDER = 4
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # i ** k for k mod 4
 
 
 class PeriodMatrix:
@@ -190,9 +193,28 @@ def _lattice_sums(tau, eps, shift_z, radius, weights):
     ellipsoid of the given radius of exp(pi i (q^t tau q + 2 q . shift_z))
     times each column of the N x K matrix weights(q)."""
     q = _ellipsoid_points(tau, np.asarray(eps, dtype=float) / 2.0, radius)
-    quad = np.einsum("ij,jk,ik->i", q, tau.entries, q)
+    quad = ((q @ tau.entries) * q).sum(axis=1)
     terms = np.exp(np.pi * 1j * (quad + 2.0 * (q @ shift_z)))
     return terms @ weights(q)
+
+
+def _phases(q, deltas):
+    """exp(pi i q . delta) for rows q of eps/2 + Z^g and delta of {0,1}^g,
+    as N x K: 2q is a whole vector, so the phase is exactly i ** (2q . delta)."""
+    return _QUARTER_TURNS[np.rint(2.0 * q @ deltas.T).astype(np.intp) & 3]
+
+
+def _monomials(q, alphas):
+    """q ** alpha for rows q and multi-indices alpha, as N x K, from a power
+    table built by repeated multiplication; one K x N product per axis."""
+    powers = np.empty((int(alphas.max(initial=0)) + 1,) + q.T.shape)
+    powers[0] = 1.0
+    for k in range(1, len(powers)):
+        powers[k] = powers[k - 1] * q.T
+    product = powers[:, 0][alphas[:, 0]]
+    for a in range(1, q.shape[1]):
+        product *= powers[:, a][alphas[:, a]]
+    return product.T
 
 
 def _theta_sum(tau, eps, delta, z, multi_indices, tol):
@@ -204,12 +226,10 @@ def _theta_sum(tau, eps, delta, z, multi_indices, tol):
     orders = alphas.sum(axis=1)
     radius = _ellipsoid_radius(tau, math.hypot(*z.imag),
                                int(orders.max(initial=0)), tol)
-
-    def monomials(q):
-        return np.prod(q[:, None, :] ** alphas, axis=2) * (2j * np.pi) ** orders
-
     shift_z = z + np.asarray(delta, dtype=float) / 2.0
-    return [complex(v) for v in _lattice_sums(tau, eps, shift_z, radius, monomials)]
+    values = _lattice_sums(tau, eps, shift_z, radius,
+                           lambda q: _monomials(q, alphas) * (2j * np.pi) ** orders)
+    return [complex(v) for v in values]
 
 
 def eval_theta(m, tau, z=None, deriv=None, tol=DEFAULT_TOL, max_order=MAX_DERIV_ORDER):
@@ -242,7 +262,8 @@ def eval_theta_many(m, tau, multi_indices, z=None, tol=DEFAULT_TOL,
 
 def theta_constants_batch(tau, characteristics, tol=DEFAULT_TOL):
     """Theta constants for many characteristics, one lattice pass per eps:
-    delta only contributes the phase exp(pi i q . delta) per lattice point."""
+    delta only contributes the phase exp(pi i q . delta) per lattice point,
+    an exact quarter turn i ** (2q . delta) (see _phases)."""
     by_eps = {}
     for m in characteristics:
         _check_eval_args(m, tau, tol)
@@ -252,7 +273,7 @@ def theta_constants_batch(tau, characteristics, tol=DEFAULT_TOL):
     for eps, group in by_eps.items():
         deltas = np.array([m.delta for m in group], dtype=float)
         values = _lattice_sums(tau, eps, np.zeros(tau.g), radius,
-                               lambda q: np.exp(np.pi * 1j * (q @ deltas.T)))
+                               lambda q: _phases(q, deltas))
         out.update(zip(group, map(complex, values)))
     return out
 

@@ -205,6 +205,14 @@ class TestInputContract:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ladder must be strictly decreasing")
 
+    @pytest.mark.parametrize("argv", [
+        ["expand-verify", "--g", "4", "--directions", "0"],
+        ["grad-verify", "--g", "4", "--directions", "-1"],
+    ])
+    def test_direction_count_below_one(self, argv, capsys):
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: need at least one direction: %r\n" % argv[-1]
+
     @pytest.mark.parametrize("argv", [["loci-test", "--g", "3"],
                                       ["hess-minor", "--g", "4", "--which", "D123"]])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5", "abc"])

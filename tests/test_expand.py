@@ -319,6 +319,15 @@ class TestSlopeFitting:
         report = fit_slope(ladder, [0.0] * len(ladder), target_order=5)
         assert report.zero_ray and report.passed
 
+    def test_exact_zeros_leave_the_fit(self):
+        ladder = [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6]
+        report = fit_slope(ladder, [e**2 if e > 0.05 else 0.0 for e in ladder], 2)
+        assert report.passed and abs(report.fitted_slope - 2.0) < 1e-9
+
+    def test_one_nonzero_magnitude_is_no_slope(self):
+        with pytest.raises(ValueError, match="two nonzero magnitudes, got 1"):
+            fit_slope([2.0**-3, 2.0**-4, 2.0**-5], [1e-3, 0.0, 0.0], 2.0)
+
     def test_ladder_must_decrease(self):
         with pytest.raises(ValueError):
             fit_slope([0.1, 0.2], [1, 1], 1)

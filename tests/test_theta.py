@@ -5,6 +5,7 @@ module's vectorized numpy sum and of its truncation-radius logic), known
 closed-form values, and finite differences for every analytic derivative.
 """
 
+import itertools
 import time
 
 import mpmath
@@ -18,6 +19,8 @@ from thetadiag.theta import (
     MAX_POINTS,
     PeriodMatrix,
     _ellipsoid_points,
+    _monomials,
+    _phases,
     eval_theta,
     eval_theta_many,
     f_phi_psi,
@@ -64,6 +67,21 @@ def mpmath_theta(m, tau_entries, z=None, deriv=None, radius=25, dps=40):
             )
 
         return complex(rec(0, [], mpmath.mpc(0), mpmath.mpc(1)))
+
+
+def phase_oracle(q, deltas):
+    """The phases exp(pi i q . delta) as complex exponentials."""
+    return np.exp(np.pi * 1j * (q @ deltas.T))
+
+
+def monomial_oracle(q, alphas):
+    """The monomials q ** alpha through libm pow, one per coordinate."""
+    return np.prod(q[:, None, :] ** alphas, axis=2)
+
+
+def shifted_points(g, eps, rng, size=200):
+    """Points of eps/2 + Z^g with coordinates in [-4.5, 4.5], both signs."""
+    return rng.integers(-4, 5, size=(size, g)) + np.asarray(eps) / 2.0
 
 
 def cube_tail_bound(tau_entries, radius, order):
@@ -312,6 +330,35 @@ class TestBatchAndBounds:
         values = theta_constants_batch(tau, chars)
         for m in chars[::5]:
             assert abs(values[m] - eval_theta(m, tau)) < 1e-10
+
+    @pytest.mark.parametrize("g", range(1, MAX_NUMERIC_GENUS + 1))
+    def test_batch_matches_single_evaluations_for_every_characteristic(self, g):
+        # odd characteristics included: their constants vanish to rounding
+        tau = _random_tau(g, np.random.default_rng(40 + g))
+        chars = enumerate_characteristics(g)
+        values = theta_constants_batch(tau, chars)
+        for m in chars:
+            assert abs(values[m] - eval_theta(m, tau)) < 1e-12
+
+    @pytest.mark.parametrize("g", range(1, MAX_NUMERIC_GENUS + 1))
+    def test_quarter_turn_phases_vs_exponentials(self, g):
+        rng = np.random.default_rng(50 + g)
+        deltas = np.array(list(itertools.product((0, 1), repeat=g)), dtype=float)
+        for eps in ((0,) * g, (1,) * g, tuple(rng.integers(0, 2, size=g))):
+            q = shifted_points(g, eps, rng)
+            assert (q < 0).any()
+            np.testing.assert_allclose(_phases(q, deltas), phase_oracle(q, deltas),
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("g", range(1, MAX_NUMERIC_GENUS + 1))
+    def test_power_table_monomials_vs_pow(self, g):
+        rng = np.random.default_rng(60 + g)
+        alphas = np.array([a for a in itertools.product(range(6), repeat=g)
+                           if sum(a) <= 5])
+        for eps in ((0,) * g, (1,) * g):
+            q = shifted_points(g, eps, rng)
+            np.testing.assert_allclose(_monomials(q, alphas), monomial_oracle(q, alphas),
+                                       rtol=1e-13, atol=0)
 
     def test_eval_theta_many(self):
         tau = _random_tau(2, np.random.default_rng(10))
