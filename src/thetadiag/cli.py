@@ -99,12 +99,15 @@ def _parse_complex_vector(text):
         raise UsageError("cannot parse complex vector %r" % text)
 
 
-def _load_tau(path):
+def _load_tau(args):
+    """The period matrix in the --tau file; the report's "g" becomes its genus."""
     try:
-        with open(path) as fh:
-            return theta.PeriodMatrix.from_json(json.load(fh))
+        with open(args.tau) as fh:
+            tau = theta.PeriodMatrix.from_json(json.load(fh))
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise UsageError("cannot load period matrix from %s: %s" % (path, exc))
+        raise UsageError("cannot load period matrix from %s: %s" % (args.tau, exc))
+    args.g = tau.g
+    return tau
 
 
 def _parse_char(text):
@@ -134,22 +137,85 @@ def _check(label, passed, **detail):
     return entry
 
 
-def _slope_check(label, report):
-    d = report.to_dict()
-    d.pop("pass")
-    return _check(label, report.passed, **d)
+def _report_check(label, report, drop=()):
+    """A check entry from a report's to_dict(), less the keys in `drop`."""
+    detail = report.to_dict()
+    for key in ("pass",) + tuple(drop):
+        detail.pop(key)
+    return _check(label, report.passed, **detail)
 
 
 def _slice_checks(result):
-    out = []
-    for i, r in enumerate(result.slope_reports):
-        out.append(_slope_check("%s slope %d" % (result.label, i), r))
-    for c in result.coefficient_checks:
-        d = c.to_dict()
-        d.pop("pass")
-        out.append(_check("%s coefficient %s" % (result.label, d.pop("label")),
-                          c.passed, **d))
-    return out
+    return ([_report_check("%s slope %d" % (result.label, i), r)
+             for i, r in enumerate(result.slope_reports)]
+            + [_report_check("%s coefficient %s" % (result.label, c.label), c,
+                             drop=("label",))
+               for c in result.coefficient_checks])
+
+
+# ---------------------------------------------------------------------------
+# check builders, shared by the subcommands and report-all
+
+
+def _theta_remainder_checks(g, rng, ls, directions, tol, ladder=None):
+    checks = []
+    for l in ls:
+        t = theta.sample_generic_diagonal(g, l, rng)
+        checks.extend(
+            _report_check("theta remainder l=%d direction=%d" % (l, d),
+                          expand.theta_remainder_report(g, l, t, rng, ladder=ladder,
+                                                        tol=tol))
+            for d in range(directions))
+    return checks
+
+
+def _gradient_remainder_checks(g, t, rng, a_values, directions, tol, ladder=None):
+    return [_report_check("gradient remainder a=%d direction=%d" % (a, d),
+                          expand.gradient_remainder_report(g, 3, a, t, rng,
+                                                           ladder=ladder, tol=tol))
+            for a in a_values for d in range(directions)]
+
+
+def _gradient_locus_checks(g, t, rng, tol, ladder=None):
+    return _slice_checks(loci.gradient_locus_check(g, t, rng, theta_tol=tol,
+                                                   ladder=ladder))
+
+
+def _hess_minor_checks(g, rng, names, ladder=None):
+    checks = []
+    for name in names:
+        t = theta.sample_generic_diagonal(g, 2, rng)
+        checks += _slice_checks(loci.minor_identity_check(g, t, name, rng,
+                                                          ladder=ladder))
+    return checks
+
+
+def _tridiagonal_check(g, t):
+    return _report_check("tridiagonal tangent space",
+                         loci.tridiagonal_tangent_check(g, t), drop=("witness",))
+
+
+def _random_block_product(g, rng):
+    """A point of H_1 x H_{g-1} with a generic off-diagonal lower block."""
+    t = theta.sample_generic_diagonal(g, 2, rng)
+    tau = np.diag(np.asarray(t, dtype=complex))
+    for a in range(1, g):
+        for b in range(a + 1, g):
+            tau[a, b] = tau[b, a] = 0.1 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
+    return theta.PeriodMatrix(tau)
+
+
+def _rank_class_check(g, blocks):
+    """The normal-form l=2 theta-null vanishes with Hessian rank at most 2
+    at every point of H_1 x H_{g-1} in `blocks`."""
+    m0 = expand.normal_form(2, g)
+    nulls, ranks = zip(*(loci.thetanull_rank_class(b, m0) for b in blocks))
+    passed = all(nulls) and max(ranks) <= 2
+    if len(blocks) == 1:
+        return _check("theta-null rank class at the block point", passed,
+                      is_null=nulls[0], rank=ranks[0])
+    return _check("theta-null rank class on H_1 x H_%d" % (g - 1), passed,
+                  all_null=all(nulls), worst_rank=max(ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +263,7 @@ def _cmd_orbit(args, rng):
 
 
 def _cmd_theta_eval(args, rng):
-    tau = _load_tau(args.tau)
+    tau = _load_tau(args)
     m = _parse_char(args.char)
     if m.g != tau.g:
         raise UsageError("characteristic genus does not match the period matrix")
@@ -224,66 +290,33 @@ def _cmd_theta_eval(args, rng):
 
 def _cmd_expand_verify(args, rng):
     _require_genus(args.g, 2, theta.MAX_NUMERIC_GENUS)
-    checks = []
+    if args.l and (not 2 <= args.l <= args.g or args.l % 2):
+        raise UsageError("need even l with 2 <= l <= g")
     ls = [args.l] if args.l else [l for l in (2, 4) if l <= args.g]
-    for l in ls:
-        if not 2 <= l <= args.g or l % 2:
-            raise UsageError("need even l with 2 <= l <= g")
-        t = theta.sample_generic_diagonal(args.g, l, rng)
-        for d in range(args.directions):
-            report = expand.theta_remainder_report(
-                args.g, l, t, rng, ladder=args.ladder, tol=args.tol
-            )
-            checks.append(
-                _slope_check("theta remainder l=%d direction=%d" % (l, d), report)
-            )
-    return checks
+    return _theta_remainder_checks(args.g, rng, ls, args.directions, args.tol,
+                                   ladder=args.ladder)
 
 
 def _cmd_grad_verify(args, rng):
     _require_genus(args.g, 3, theta.MAX_NUMERIC_GENUS)
-    checks = []
     t = theta.sample_generic_diagonal(args.g, 3, rng)
-    for a in range(1, args.g + 1):
-        for d in range(args.directions):
-            report = expand.gradient_remainder_report(
-                args.g, 3, a, t, rng, ladder=args.ladder, tol=args.tol
-            )
-            checks.append(
-                _slope_check("gradient remainder a=%d direction=%d" % (a, d), report)
-            )
-    if 4 <= args.g <= 5:
-        result = loci.gradient_locus_check(args.g, t, rng, theta_tol=args.tol,
-                                           ladder=args.ladder)
-        checks.extend(_slice_checks(result))
+    checks = _gradient_remainder_checks(args.g, t, rng, range(1, args.g + 1),
+                                        args.directions, args.tol, ladder=args.ladder)
+    if args.g >= 4:
+        checks += _gradient_locus_checks(args.g, t, rng, args.tol, ladder=args.ladder)
     return checks
 
 
 def _cmd_hess_minor(args, rng):
     _require_genus(args.g, 4, 5)
     which = [args.which] if args.which else list(loci.MINOR_CHECKS)
-    checks = []
-    for name in which:
-        t = theta.sample_generic_diagonal(args.g, 2, rng)
-        result = loci.minor_identity_check(args.g, t, name, rng, ladder=args.ladder)
-        checks.extend(_slice_checks(result))
-    return checks
-
-
-def _random_block_product(g, rng):
-    """A point of H_1 x H_{g-1} with a generic off-diagonal lower block."""
-    t = theta.sample_generic_diagonal(g, 2, rng)
-    tau = np.diag(np.asarray(t, dtype=complex))
-    for a in range(1, g):
-        for b in range(a + 1, g):
-            tau[a, b] = tau[b, a] = 0.1 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-    return theta.PeriodMatrix(tau)
+    return _hess_minor_checks(args.g, rng, which, ladder=args.ladder)
 
 
 def _cmd_loci_test(args, rng):
     checks = []
     if args.tau:
-        tau = _load_tau(args.tau)
+        tau = _load_tau(args)
         _require_genus(tau.g, 1, theta.MAX_NUMERIC_GENUS)
         v = loci.is_diagonal_orbit(tau, tol=args.tol)
         checks.append(_check("diagonal-orbit detector", True, verdict=v.verdict,
@@ -321,22 +354,13 @@ def _cmd_loci_test(args, rng):
         _check("H_1 x H_%d block point is in the 1+%d product orbit"
                % (g - 1, g - 1), loci.is_product_orbit(block, 1).verdict)
     )
-    m0 = chars.Characteristic((1, 1) + (0,) * (g - 2), (1, 1) + (0,) * (g - 2))
-    is_null, rank = loci.thetanull_rank_class(block, m0)
-    checks.append(
-        _check("theta-null rank class at the block point", is_null and rank <= 2,
-               is_null=is_null, rank=rank)
-    )
+    checks.append(_rank_class_check(g, [block]))
     checks.append(
         _check("hyperelliptic vanishing along the diagonal",
                loci.hyperelliptic_vanishing_test(diag).verdict)
     )
-    if 3 <= g <= 5:
-        report = loci.tridiagonal_tangent_check(g, t)
-        d = report.to_dict()
-        d.pop("pass")
-        d.pop("witness")
-        checks.append(_check("tridiagonal tangent space", report.passed, **d))
+    if g >= 3:
+        checks.append(_tridiagonal_check(g, t))
     return checks
 
 
@@ -449,10 +473,8 @@ def _cmd_report_all(args, rng):
         )
     # transitivity
     for g in range(2, 7):
-        report = symp.verify_transitivity(g)
-        d = report.to_dict()
-        d.pop("pass")
-        checks.append(_check("orbit transitivity g=%d" % g, report.passed, **d))
+        checks.append(_report_check("orbit transitivity g=%d" % g,
+                                    symp.verify_transitivity(g)))
     # fundamental systems
     for g in range(2, 7):
         fs = chars.special_fundamental_system(g)
@@ -469,17 +491,13 @@ def _cmd_report_all(args, rng):
             _check("special fundamental system g=%d" % g, azygetic and essential,
                    azygetic_triples=azygetic, essential_after_any_drop=essential)
         )
-    checks.append(
-        _check("b^3 identity",
-               chars.b_char(chars.special_fundamental_system(3)).compact()
-               == "[111;101]")
-    )
+    b3 = chars.b_char(chars.special_fundamental_system(3))
+    checks.append(_check("b^3 identity", b3.compact() == "[111;101]"))
     # hyperelliptic vanishing sets
     checks.append(
         _check("hyperelliptic vanishing set g=2 is empty",
                not chars.hyperelliptic_vanishing_set(2))
     )
-    b3 = chars.b_char(chars.special_fundamental_system(3))
     checks.append(
         _check("hyperelliptic vanishing set g=3 is {b^3}",
                chars.hyperelliptic_vanishing_set(3) == {b3})
@@ -491,65 +509,25 @@ def _cmd_report_all(args, rng):
         )
     # theta numerics
     for g in range(2, min(args.g, 4) + 1):
-        checks.extend(_theta_numeric_checks(g, rng, n_samples=10, tol=args.tol))
+        checks += _theta_numeric_checks(g, rng, n_samples=10, tol=args.tol)
     # bracket calculus
-    checks.extend(_bracket_example_checks())
+    checks += _bracket_example_checks()
     # expansion orders
-    for l in (2, 4):
-        if l > args.g:
-            continue
-        t = theta.sample_generic_diagonal(args.g, l, rng)
-        for d in range(3):
-            checks.append(
-                _slope_check(
-                    "theta remainder l=%d direction=%d" % (l, d),
-                    expand.theta_remainder_report(args.g, l, t, rng, tol=args.tol),
-                )
-            )
+    checks += _theta_remainder_checks(args.g, rng, [l for l in (2, 4) if l <= args.g],
+                                      3, args.tol)
     if args.g >= 3:
         t = theta.sample_generic_diagonal(args.g, 3, rng)
-        for a in (1, args.g):
-            for d in range(3):
-                checks.append(
-                    _slope_check(
-                        "gradient remainder a=%d direction=%d" % (a, d),
-                        expand.gradient_remainder_report(
-                            args.g, 3, a, t, rng, tol=args.tol
-                        ),
-                    )
-                )
-    # tridiagonal tangent spaces
-    if 3 <= args.g <= 5:
-        t = theta.sample_generic_diagonal(args.g, 0, rng)
-        report = loci.tridiagonal_tangent_check(args.g, t)
-        d = report.to_dict()
-        d.pop("pass")
-        d.pop("witness")
-        checks.append(_check("tridiagonal tangent space", report.passed, **d))
-    # gradient-locus slice and Hessian minors
-    if 4 <= args.g <= 5:
+        checks += _gradient_remainder_checks(args.g, t, rng, (1, args.g), 3, args.tol)
+        # tridiagonal tangent spaces
+        checks.append(_tridiagonal_check(
+            args.g, theta.sample_generic_diagonal(args.g, 0, rng)))
+    # gradient-locus slice, theta-null rank class and Hessian minors
+    if args.g >= 4:
         t = theta.sample_generic_diagonal(args.g, 3, rng)
-        checks.extend(_slice_checks(loci.gradient_locus_check(args.g, t, rng,
-                                                              theta_tol=args.tol)))
-        m0 = chars.Characteristic((1, 1) + (0,) * (args.g - 2),
-                                  (1, 1) + (0,) * (args.g - 2))
-        worst_rank = 0
-        all_null = True
-        for _ in range(5):
-            block = _random_block_product(args.g, rng)
-            is_null, rank = loci.thetanull_rank_class(block, m0)
-            all_null = all_null and is_null
-            worst_rank = max(worst_rank, rank)
-        checks.append(
-            _check("theta-null rank class on H_1 x H_%d" % (args.g - 1),
-                   all_null and worst_rank <= 2,
-                   all_null=all_null, worst_rank=worst_rank)
-        )
-        for name in loci.MINOR_CHECKS:
-            t = theta.sample_generic_diagonal(args.g, 2, rng)
-            checks.extend(
-                _slice_checks(loci.minor_identity_check(args.g, t, name, rng))
-            )
+        checks += _gradient_locus_checks(args.g, t, rng, args.tol)
+        blocks = [_random_block_product(args.g, rng) for _ in range(5)]
+        checks.append(_rank_class_check(args.g, blocks))
+        checks += _hess_minor_checks(args.g, rng, loci.MINOR_CHECKS)
     return checks
 
 
@@ -647,6 +625,8 @@ def run(argv=None):
         # the --tol, --ladder and --directions types raise UsageError
         args = parser.parse_args(argv)
         checks = args.func(args, np.random.default_rng(args.seed))
+        if not checks:
+            raise UsageError("%s produced no checks at g=%d" % (args.command, args.g))
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,6 @@ ratios only at evaluation time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -444,28 +443,38 @@ def random_offdiagonal_direction(g, rng):
     return mat / np.abs(mat).max()
 
 
-def _normal_form(l, g):
+def normal_form(l, g):
+    """The normal-form characteristic [1...10...0;1...10...0] of genus g
+    with l leading (1,1) columns."""
     return Characteristic((1,) * l + (0,) * (g - l), (1,) * l + (0,) * (g - l))
+
+
+def _remainder_report(g, l, t, rng, lead, value, order, ladder, tol):
+    """Slope of value(m, tau) - prod(f) * lead along a random off-diagonal
+    ray from diag(t), for the normal-form characteristic m with l leading
+    (1,1) columns; the remainder must vanish to order at least `order`."""
+    m = normal_form(l, g)
+    bound = bind_symbols(t, l, tol=tol)
+    prod_f = np.prod(bound[0])
+    base = theta_mod.PeriodMatrix.diagonal(t)
+    direction = random_offdiagonal_direction(g, rng)
+
+    def target(tau):
+        model = prod_f * evaluate(lead, t, offdiag_of(tau.entries), l, bound=bound)
+        return value(m, tau) - model
+
+    return vanishing_order(target, base, direction, ladder=ladder,
+                           target_order=order, comparison="at_least",
+                           tail=4)
 
 
 def theta_remainder_report(g, l, t, rng, ladder=None, tol=theta_mod.DEFAULT_TOL):
     """Slope of theta_m - prod(f) * (X_l + Y_l) along a random off-diagonal
     ray from diag(t), for the normal-form even characteristic with l leading
     (1,1) columns; the remainder has order at least s + 2 with s = l/2."""
-    m = _normal_form(l, g)
-    bound = bind_symbols(t, l, tol=tol)
-    prod_f = np.prod(bound[0])
-    lead = theta_leading(l, g)
-    base = theta_mod.PeriodMatrix.diagonal(t)
-    direction = random_offdiagonal_direction(g, rng)
-
-    def target(tau):
-        model = prod_f * evaluate(lead, t, offdiag_of(tau.entries), l, bound=bound)
-        return theta_mod.eval_theta(m, tau, tol=tol) - model
-
-    return vanishing_order(target, base, direction, ladder=ladder,
-                           target_order=l // 2 + 2, comparison="at_least",
-                           tail=4)
+    return _remainder_report(
+        g, l, t, rng, theta_leading(l, g),
+        lambda m, tau: theta_mod.eval_theta(m, tau, tol=tol), l // 2 + 2, ladder, tol)
 
 
 def gradient_remainder_report(g, l, a, t, rng, ladder=None,
@@ -474,37 +483,8 @@ def gradient_remainder_report(g, l, a, t, rng, ladder=None,
     a random off-diagonal ray from diag(t), for the normal-form odd
     characteristic (l odd); order at least s + 2 for a <= l and s + 3 for
     a > l, with s = (l - 1)/2."""
-    m = _normal_form(l, g)
-    bound = bind_symbols(t, l, tol=tol)
-    prod_f = np.prod(bound[0])
-    lead = grad_leading(l, g, a)
-    base = theta_mod.PeriodMatrix.diagonal(t)
-    direction = random_offdiagonal_direction(g, rng)
     s = (l - 1) // 2
-    order = s + 2 if a <= l else s + 3
-
-    def target(tau):
-        model = prod_f * evaluate(lead, t, offdiag_of(tau.entries), l, bound=bound)
-        return theta_mod.gradient(m, tau, tol=tol)[a - 1] - model
-
-    return vanishing_order(target, base, direction, ladder=ladder,
-                           target_order=order, comparison="at_least",
-                           tail=4)
-
-
-def slope_reports_to_csv(reports, path):
-    """Write SlopeReports as CSV rows (one row per report)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["fitted_slope", "target_order", "tolerance", "comparison",
-             "zero_ray", "pass", "epsilon_ladder", "values"]
-        )
-        for r in reports:
-            writer.writerow(
-                [r.fitted_slope, r.target_order, r.tolerance, r.comparison,
-                 r.zero_ray, r.passed,
-                 json.dumps(list(r.epsilon_ladder)), json.dumps(list(r.values))]
-            )
+    return _remainder_report(
+        g, l, t, rng, grad_leading(l, g, a),
+        lambda m, tau: theta_mod.gradient(m, tau, tol=tol)[a - 1],
+        s + 2 if a <= l else s + 3, ladder, tol)

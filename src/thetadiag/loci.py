@@ -26,7 +26,7 @@ from .chars import (
     b_char,
 )
 from .expand import (bind_symbols, bracket, default_ladder, evaluate, fit_slope,
-                     offdiag_of)
+                     normal_form, offdiag_of)
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
@@ -74,22 +74,24 @@ def even_scale(tau, theta_tol=DEFAULT_TOL):
     return max(abs(v) for v in values.values()), values
 
 
+def _vanishing_witness(values, ms, scale, tol, *extra):
+    """Witness rows (characteristic, |theta|, *extra, vanished) for ms, where
+    vanished means below tol times scale, and whether every one vanished."""
+    rows = tuple(
+        (("characteristic", m.compact()), ("abs_value", abs(values[m])))
+        + extra + (("vanished", abs(values[m]) < tol * scale),)
+        for m in ms
+    )
+    return rows, all(row[-1][1] for row in rows)
+
+
 def is_diagonal_orbit(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
     """True iff every even theta constant with a (1,1) column vanishes
     relative to the largest even theta constant."""
     scale, values = even_scale(tau, theta_tol)
-    witness = []
-    verdict = True
-    for m, v in sorted(values.items(), key=lambda kv: kv[0].compact()):
-        if scalar_class(m) == 0:
-            continue
-        vanished = abs(v) < tol * scale
-        verdict = verdict and vanished
-        witness.append(
-            (("characteristic", m.compact()), ("abs_value", abs(v)),
-             ("vanished", vanished))
-        )
-    return LocusVerdict("diagonal_orbit", _digest(tau), tuple(witness), tol, verdict)
+    ms = sorted((m for m in values if scalar_class(m)), key=Characteristic.compact)
+    witness, verdict = _vanishing_witness(values, ms, scale, tol)
+    return LocusVerdict("diagonal_orbit", _digest(tau), witness, tol, verdict)
 
 
 def is_product_orbit(tau, g1, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
@@ -107,17 +109,9 @@ def is_product_orbit(tau, g1, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
     ]
     scale, _ = even_scale(tau, theta_tol)
     values = theta_constants_batch(tau, chars, tol=theta_tol)
-    witness = []
-    verdict = True
-    for m in chars:
-        vanished = abs(values[m]) < tol * scale
-        verdict = verdict and vanished
-        witness.append(
-            (("characteristic", m.compact()), ("abs_value", abs(values[m])),
-             ("vanished", vanished))
-        )
+    witness, verdict = _vanishing_witness(values, chars, scale, tol)
     return LocusVerdict(
-        "product_orbit_%d_%d" % (g1, g - g1), _digest(tau), tuple(witness), tol, verdict
+        "product_orbit_%d_%d" % (g1, g - g1), _digest(tau), witness, tol, verdict
     )
 
 
@@ -138,19 +132,13 @@ def hyperelliptic_vanishing_test(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_
     records the constants for sums of exactly g members, whose
     non-vanishing is not required."""
     g = tau.g
-    required = sorted(hyperelliptic_vanishing_set(g), key=lambda m: m.compact())
+    required = sorted(hyperelliptic_vanishing_set(g), key=Characteristic.compact)
     scale, _ = even_scale(tau, theta_tol)
-    witness = []
-    verdict = True
+    witness, verdict = (), True
     if required:
         values = theta_constants_batch(tau, required, tol=theta_tol)
-        for m in required:
-            vanished = abs(values[m]) < tol * scale
-            verdict = verdict and vanished
-            witness.append(
-                (("characteristic", m.compact()), ("abs_value", abs(values[m])),
-                 ("required", True), ("vanished", vanished))
-            )
+        witness, verdict = _vanishing_witness(values, required, scale, tol,
+                                              ("required", True))
     # informational part: shifts of sums of exactly g members
     fs = special_fundamental_system(g)
     b = b_char(fs)
@@ -164,16 +152,11 @@ def hyperelliptic_vanishing_test(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_
         if is_even(shifted):
             extra.add(shifted)
     if extra:
-        values = theta_constants_batch(tau, sorted(extra, key=lambda m: m.compact()),
-                                       tol=theta_tol)
-        for m, v in sorted(values.items(), key=lambda kv: kv[0].compact()):
-            witness.append(
-                (("characteristic", m.compact()), ("abs_value", abs(v)),
-                 ("required", False), ("vanished", abs(v) < tol * scale))
-            )
-    return LocusVerdict(
-        "hyperelliptic_vanishing", _digest(tau), tuple(witness), tol, verdict
-    )
+        extra = sorted(extra, key=Characteristic.compact)
+        values = theta_constants_batch(tau, extra, tol=theta_tol)
+        witness += _vanishing_witness(values, extra, scale, tol,
+                                      ("required", False))[0]
+    return LocusVerdict("hyperelliptic_vanishing", _digest(tau), witness, tol, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +305,7 @@ def gradient_locus_check(g, t, rng, rel_tol=0.05, theta_tol=DEFAULT_TOL,
     coefficient prod(f) * u^3 * (psi_j - 2 phi_j^2) * tau_1j^3."""
     if not 4 <= g <= 5:
         raise ValueError("need 4 <= g <= 5")
-    m = Characteristic((1,) * 3 + (0,) * (g - 3), (1,) * 3 + (0,) * (g - 3))
+    m = normal_form(3, g)
     fs, phis, psis = bind_symbols(t, 3, tol=theta_tol)
     prod_f = np.prod(fs)
     if ladder is None:
@@ -451,7 +434,7 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
         raise ValueError("unknown minor check %r" % (which,))
     if g < 4:
         raise ValueError("need g >= 4")
-    m = Characteristic((1, 1) + (0,) * (g - 2), (1, 1) + (0,) * (g - 2))
+    m = normal_form(2, g)
     fs, phis, psis = bind_symbols(t, 2, tol=theta_tol)
     prod_f = np.prod(fs)
     weights = _random_weights(rng, g)
@@ -463,53 +446,38 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
         )
     reports = []
     coeffs = []
-    if which == "D123":
-        minors = {}
+    if which in ("D123", "D12jj"):
+        # one theta-null solve per ladder point; every principal minor with
+        # rows/cols (1,2,j) (D123) or (1,2,3,j) (D12jj) is read from it
+        lead = [0, 1] if which == "D123" else [0, 1, 2]
+        js = range(len(lead) + 1, g + 1)
+        minors = {j: [] for j in js}
         for eps in ladder:
             tau = impose_thetanull(m, t, weights, eps, phis, theta_tol)
             M = _normalized_tau_gradient(m, tau, prod_f, theta_tol)
-            for j in range(3, g + 1):
-                idx = [0, 1, j - 1]
-                minors.setdefault(j, []).append(np.linalg.det(M[np.ix_(idx, idx)]))
-        for j in range(3, g + 1):
+            for j in js:
+                idx = lead + [j - 1]
+                minors[j].append(np.linalg.det(M[np.ix_(idx, idx)]))
+        eps = ladder[-1]
+        for j in js:
             values = minors[j]
-            reports.append(fit_slope(ladder, [abs(v) for v in values],
-                                     target_order=2, comparison="equal"))
-            eps = ladder[-1]
             tau1j = weights[j - 1] * eps
-            measured = values[-1] / (U**2 * tau1j**2)
-            coeffs.append(
-                CoefficientCheck(
-                    "2 phi_%d^2 - psi_%d/2" % (j, j),
-                    complex(measured),
-                    complex(2 * phis[j - 1] ** 2 - psis[j - 1] / 2),
-                    rel_tol,
-                )
-            )
-    elif which == "D12jj":
-        for j in range(4, g + 1):
-            idx = [0, 1, 2, j - 1]
-            values = []
-            for eps in ladder:
-                tau = impose_thetanull(m, t, weights, eps, phis, theta_tol)
-                M = _normalized_tau_gradient(m, tau, prod_f, theta_tol)
-                values.append(np.linalg.det(M[np.ix_(idx, idx)]))
+            if which == "D123":
+                order = 2
+                label = "2 phi_%d^2 - psi_%d/2" % (j, j)
+                measured = values[-1] / (U**2 * tau1j**2)
+                expected = 2 * phis[j - 1] ** 2 - psis[j - 1] / 2
+            else:
+                order = 4
+                label = "-(4 phi_3^2 - psi_3)(4 phi_%d^2 - psi_%d)/4" % (j, j)
+                tau13 = weights[2] * eps
+                measured = values[-1] / (U**4 * tau13**2 * tau1j**2)
+                expected = (-(4 * phis[2] ** 2 - psis[2])
+                            * (4 * phis[j - 1] ** 2 - psis[j - 1]) / 4)
             reports.append(fit_slope(ladder, [abs(v) for v in values],
-                                     target_order=4, comparison="equal"))
-            eps = ladder[-1]
-            tau13, tau1j = weights[2] * eps, weights[j - 1] * eps
-            measured = values[-1] / (U**4 * tau13**2 * tau1j**2)
-            coeffs.append(
-                CoefficientCheck(
-                    "-(4 phi_3^2 - psi_3)(4 phi_%d^2 - psi_%d)/4" % (j, j),
-                    complex(measured),
-                    complex(
-                        -(4 * phis[2] ** 2 - psis[2])
-                        * (4 * phis[j - 1] ** 2 - psis[j - 1]) / 4
-                    ),
-                    rel_tol,
-                )
-            )
+                                     target_order=order, comparison="equal"))
+            coeffs.append(CoefficientCheck(label, complex(measured),
+                                           complex(expected), rel_tol))
     else:  # D12jk
         # The tau_jk-dependence of the minor with rows (1,2,3,j) and
         # columns (1,2,3,k), expanded along the last row, enters through

@@ -177,6 +177,24 @@ class TestVerificationJobs:
         labels = [c["label"] for c in report["checks"]]
         assert any("diagonal-orbit" in x for x in labels)
 
+    @pytest.mark.parametrize("command", [
+        ["theta-eval", "--char", "[0;0]"],
+        ["loci-test"],
+    ])
+    def test_tau_jobs_report_the_genus_of_tau(self, command, tmp_path):
+        path = tmp_path / "tau1.json"
+        path.write_text(json.dumps(PeriodMatrix([[1.1j]]).to_json()))
+        code, report = run_json(command + ["--tau", str(path)], tmp_path)
+        assert code == EXIT_PASS
+        assert report["g"] == 1
+
+    @pytest.mark.parametrize("g,count", [(1, 29), (2, 36), (3, 47), (4, 64), (5, 72)])
+    def test_report_all_every_genus(self, g, count, tmp_path):
+        code, report = run_json(["report-all", "--g", str(g), "--seed", "0"], tmp_path)
+        assert code == EXIT_PASS
+        assert len(report["checks"]) == count
+        assert all(c["pass"] for c in report["checks"])
+
 
 class TestInputContract:
     """Malformed input exits 2 with one line on stderr, before any job runs."""
@@ -212,6 +230,11 @@ class TestInputContract:
     def test_direction_count_below_one(self, argv, capsys):
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "error: need at least one direction: %r\n" % argv[-1]
+
+    def test_job_without_checks(self, capsys):
+        # g=4 has no pair 4 <= j < k <= g for the D12jk minors
+        assert run(["hess-minor", "--g", "4", "--which", "D12jk"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: hess-minor produced no checks at g=4\n"
 
     @pytest.mark.parametrize("argv", [["loci-test", "--g", "3"],
                                       ["hess-minor", "--g", "4", "--which", "D123"]])

@@ -18,7 +18,6 @@ from thetadiag.expand import (
     gradient_remainder_report,
     hessian_minor,
     offdiag_of,
-    slope_reports_to_csv,
     theta_leading,
     theta_remainder_report,
     vanishing_order,
@@ -350,14 +349,6 @@ class TestSlopeFitting:
             target_order=1,
         )
         assert report.passed
-
-    def test_csv_export(self, tmp_path):
-        ladder = default_ladder()
-        report = fit_slope(ladder, [e**2 for e in ladder], 2)
-        path = tmp_path / "slopes.csv"
-        slope_reports_to_csv([report], path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2 and lines[0].startswith("fitted_slope")
 
 
 class TestRemainderReports:

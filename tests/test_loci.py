@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from thetadiag import loci
 from thetadiag.chars import Characteristic, b_char, special_fundamental_system
-from thetadiag.expand import bind_symbols
+from thetadiag.expand import bind_symbols, default_ladder
 from thetadiag.loci import (
     MINOR_CHECKS,
     gradient_locus_check,
@@ -236,6 +237,21 @@ class TestMinorIdentities:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             minor_identity_check(4, [1j] * 4, "D999", np.random.default_rng(0))
+
+    def test_d12jj_solves_once_per_ladder_point(self, monkeypatch):
+        # every (1,2,3,j) minor at a ladder point comes from one solve
+        solved_at = []
+
+        def counting(m, t, weights, eps, *args, **kwargs):
+            solved_at.append(eps)
+            return impose_thetanull(m, t, weights, eps, *args, **kwargs)
+
+        monkeypatch.setattr(loci, "impose_thetanull", counting)
+        rng = np.random.default_rng(14)
+        t = sample_generic_diagonal(5, 2, rng)
+        result = minor_identity_check(5, t, "D12jj", rng)
+        assert solved_at == default_ladder()
+        assert len(result.slope_reports) == 2  # j = 4, 5
 
     def test_impose_thetanull_drives_theta_to_zero(self):
         g = 4
