@@ -223,14 +223,14 @@ def _rank_class_check(g, blocks):
 
 
 def _cmd_char(args, rng):
-    checks = []
-    for text in args.characteristics:
-        m = _parse_char(text)
-        checks.append(
-            _check("classify %s" % m.compact(), True,
+    """One check per characteristic; the report's "g" is their common genus,
+    or None (null) when the genera differ."""
+    ms = [_parse_char(text) for text in args.characteristics]
+    genera = {m.g for m in ms}
+    args.g = genera.pop() if len(genera) == 1 else None
+    return [_check("classify %s" % m.compact(), True,
                    parity=chars.parity(m), l=chars.scalar_class(m), g=m.g)
-        )
-    return checks
+            for m in ms]
 
 
 def _cmd_orbit(args, rng):
@@ -514,20 +514,21 @@ def _cmd_report_all(args, rng):
     checks += _bracket_example_checks()
     # expansion orders
     checks += _theta_remainder_checks(args.g, rng, [l for l in (2, 4) if l <= args.g],
-                                      3, args.tol)
+                                      3, args.tol, ladder=args.ladder)
     if args.g >= 3:
         t = theta.sample_generic_diagonal(args.g, 3, rng)
-        checks += _gradient_remainder_checks(args.g, t, rng, (1, args.g), 3, args.tol)
+        checks += _gradient_remainder_checks(args.g, t, rng, (1, args.g), 3, args.tol,
+                                             ladder=args.ladder)
         # tridiagonal tangent spaces
         checks.append(_tridiagonal_check(
             args.g, theta.sample_generic_diagonal(args.g, 0, rng)))
     # gradient-locus slice, theta-null rank class and Hessian minors
     if args.g >= 4:
         t = theta.sample_generic_diagonal(args.g, 3, rng)
-        checks += _gradient_locus_checks(args.g, t, rng, args.tol)
+        checks += _gradient_locus_checks(args.g, t, rng, args.tol, ladder=args.ladder)
         blocks = [_random_block_product(args.g, rng) for _ in range(5)]
         checks.append(_rank_class_check(args.g, blocks))
-        checks += _hess_minor_checks(args.g, rng, loci.MINOR_CHECKS)
+        checks += _hess_minor_checks(args.g, rng, loci.MINOR_CHECKS, ladder=args.ladder)
     return checks
 
 

@@ -3,14 +3,20 @@ for the local structure results: tridiagonal tangent spaces, the
 gradient-locus slice computation, and the Hessian minor identities.
 
 All vanishing tests are relative: a theta constant counts as zero when it
-is below tol times the largest even theta constant at the same point.
+is below tol times the largest even theta constant at the same point.  Every
+characteristic a detector tests is even, so the detectors read their
+constants from the batch that gives that scale: each period matrix and
+theta tolerance costs one batch of even theta constants (even_scale).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
+import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -18,9 +24,10 @@ from .chars import (
     EVEN,
     ODD,
     Characteristic,
+    _char_to_mask,
+    _mask_to_char,
     enumerate_characteristics,
     hyperelliptic_vanishing_set,
-    is_even,
     scalar_class,
     special_fundamental_system,
     b_char,
@@ -67,11 +74,16 @@ class LocusVerdict:
         }
 
 
+@functools.lru_cache(maxsize=8)
 def even_scale(tau, theta_tol=DEFAULT_TOL):
-    """max |theta_m(tau)| over even m; the reference scale for vanishing."""
+    """(max |theta_m(tau)| over even m, the reference scale for vanishing;
+    every even theta constant at tau, as a read-only mapping).
+
+    Memoised per period matrix object and theta_tol: PeriodMatrix entries
+    are write-protected, and the cache holds tau, so its id is not reused."""
     evens = enumerate_characteristics(tau.g, parity_filter=EVEN)
     values = theta_constants_batch(tau, evens, tol=theta_tol)
-    return max(abs(v) for v in values.values()), values
+    return max(abs(v) for v in values.values()), MappingProxyType(values)
 
 
 def _vanishing_witness(values, ms, scale, tol, *extra):
@@ -107,8 +119,8 @@ def is_product_orbit(tau, g1, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
         for m1 in odd1
         for m2 in odd2
     ]
-    scale, _ = even_scale(tau, theta_tol)
-    values = theta_constants_batch(tau, chars, tol=theta_tol)
+    # odd (genus g1) plus odd (genus g - g1) is even
+    scale, values = even_scale(tau, theta_tol)
     witness, verdict = _vanishing_witness(values, chars, scale, tol)
     return LocusVerdict(
         "product_orbit_%d_%d" % (g1, g - g1), _digest(tau), witness, tol, verdict
@@ -133,29 +145,21 @@ def hyperelliptic_vanishing_test(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_
     non-vanishing is not required."""
     g = tau.g
     required = sorted(hyperelliptic_vanishing_set(g), key=Characteristic.compact)
-    scale, _ = even_scale(tau, theta_tol)
-    witness, verdict = (), True
-    if required:
-        values = theta_constants_batch(tau, required, tol=theta_tol)
-        witness, verdict = _vanishing_witness(values, required, scale, tol,
-                                              ("required", True))
-    # informational part: shifts of sums of exactly g members
+    scale, values = even_scale(tau, theta_tol)
+    witness, verdict = _vanishing_witness(values, required, scale, tol,
+                                          ("required", True))
+    # informational part: the even shifts of sums of exactly g members
     fs = special_fundamental_system(g)
-    b = b_char(fs)
-    members = fs.essential_members()
+    b = _char_to_mask(b_char(fs))
+    members = [_char_to_mask(x) for x in fs.essential_members()]
     extra = set()
-    for combo in itertools.combinations(range(len(members)), g):
-        m = Characteristic.zero(g)
-        for i in combo:
-            m = m + members[i]
-        shifted = m + b
-        if is_even(shifted):
+    for combo in itertools.combinations(members, g):
+        shifted = functools.reduce(operator.xor, combo, b)
+        if ((shifted >> g) & shifted).bit_count() % 2 == 0:
             extra.add(shifted)
-    if extra:
-        extra = sorted(extra, key=Characteristic.compact)
-        values = theta_constants_batch(tau, extra, tol=theta_tol)
-        witness += _vanishing_witness(values, extra, scale, tol,
-                                      ("required", False))[0]
+    # mask order is the compact-string order
+    extra = [_mask_to_char(x, g) for x in sorted(extra)]
+    witness += _vanishing_witness(values, extra, scale, tol, ("required", False))[0]
     return LocusVerdict("hyperelliptic_vanishing", _digest(tau), witness, tol, verdict)
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from thetadiag import cli
+from thetadiag import cli, loci
 from thetadiag.chars import MAX_ENUM_GENUS
 from thetadiag.cli import EXIT_PASS, EXIT_USAGE, _parse_ladder, run
 from thetadiag.theta import PeriodMatrix
@@ -64,6 +64,19 @@ class TestChar:
 
     def test_malformed_characteristic(self):
         assert run(["char", "classify", "[12;00]"]) == EXIT_USAGE
+
+    def test_classify_reports_the_common_genus(self, tmp_path):
+        code, report = run_json(["char", "classify", "[110;110]", "[111;010]"],
+                                tmp_path)
+        assert code == EXIT_PASS
+        assert report["g"] == 3
+
+    def test_classify_mixed_genera_reports_null(self, tmp_path):
+        code, report = run_json(["char", "classify", "[110;110]", "[1111;0101]"],
+                                tmp_path)
+        assert code == EXIT_PASS
+        assert report["g"] is None
+        assert [c["g"] for c in report["checks"]] == [3, 4]
 
 
 class TestOrbit:
@@ -170,6 +183,30 @@ class TestVerificationJobs:
     def test_loci_test(self, tmp_path):
         code, report = run_json(["loci-test", "--g", "3", "--seed", "1"], tmp_path)
         assert code == EXIT_PASS
+
+    def test_loci_test_one_even_batch_per_point(self, tmp_path, monkeypatch):
+        # the diagonal, perturbed and block points: one batch each
+        calls = []
+        batch = loci.theta_constants_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(loci, "theta_constants_batch", counting)
+        code, _ = run_json(["loci-test", "--g", "5", "--seed", "0"], tmp_path)
+        assert code == EXIT_PASS
+        assert len(calls) == 3 and len(set(map(id, calls))) == 3
+
+    def test_report_all_passes_the_ladder(self, tmp_path):
+        ladder = set(_parse_ladder("2^-3..2^-8"))
+        code, report = run_json(["report-all", "--g", "4", "--seed", "0",
+                                 "--ladder", "2^-3..2^-8"], tmp_path)
+        assert code == EXIT_PASS
+        fitted = [c["epsilon_ladder"] for c in report["checks"]
+                  if "epsilon_ladder" in c]
+        assert len(fitted) == 17
+        assert all(set(points) <= ladder for points in fitted)
 
     def test_loci_test_with_tau(self, tmp_path, tau_file):
         code, report = run_json(["loci-test", "--tau", tau_file], tmp_path)

@@ -1,13 +1,23 @@
 """Locus detectors and theorem verifiers on canonical and random points."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from thetadiag import loci
-from thetadiag.chars import Characteristic, b_char, special_fundamental_system
+from thetadiag.chars import (
+    EVEN,
+    Characteristic,
+    b_char,
+    enumerate_characteristics,
+    is_even,
+    special_fundamental_system,
+)
 from thetadiag.expand import bind_symbols, default_ladder
 from thetadiag.loci import (
     MINOR_CHECKS,
+    even_scale,
     gradient_locus_check,
     hyperelliptic_vanishing_test,
     impose_thetanull,
@@ -17,7 +27,12 @@ from thetadiag.loci import (
     thetanull_rank_class,
     tridiagonal_tangent_check,
 )
-from thetadiag.theta import PeriodMatrix, eval_theta, sample_generic_diagonal
+from thetadiag.theta import (
+    PeriodMatrix,
+    eval_theta,
+    sample_generic_diagonal,
+    theta_constants_batch,
+)
 
 
 def _m0(g):
@@ -157,6 +172,88 @@ class TestHyperellipticVanishing:
         required = [w for w in verdict.witness if dict(w).get("required")]
         assert len(required) == 1
         assert dict(required[0])["characteristic"] == b3.compact()
+
+
+def _detector_points(g):
+    t = sample_generic_diagonal(g, 0, np.random.default_rng(g + 40))
+    direction = np.full((g, g), 0.05j, dtype=complex)
+    np.fill_diagonal(direction, 0.0)
+    diag = PeriodMatrix.diagonal(t)
+    return [diag, diag.perturbed(direction, 1.0)]
+
+
+def _exact_g_sums_oracle(g):
+    """The even shifts by b^g of sums of exactly g essential members, by
+    Characteristic addition."""
+    fs = special_fundamental_system(g)
+    b = b_char(fs)
+    extra = set()
+    for combo in itertools.combinations(fs.essential_members(), g):
+        m = Characteristic.zero(g)
+        for x in combo:
+            m = m + x
+        if is_even(m + b):
+            extra.add(m + b)
+    return sorted(extra, key=Characteristic.compact)
+
+
+class TestEvenScaleMemo:
+    """Every detector reads its constants from one memoised even batch."""
+
+    @pytest.mark.parametrize("g", (2, 3, 4, 5))
+    def test_detectors_match_fresh_batches(self, g):
+        for tau in _detector_points(g):
+            verdicts = ([is_diagonal_orbit(tau)]
+                        + [is_product_orbit(tau, g1) for g1 in range(1, g)]
+                        + [hyperelliptic_vanishing_test(tau)])
+            evens = enumerate_characteristics(g, parity_filter=EVEN)
+            scale = max(map(abs, theta_constants_batch(tau, evens).values()))
+            for v in verdicts:
+                rows = [dict(w) for w in v.witness]
+                ms = [Characteristic.parse(r["characteristic"]) for r in rows]
+                fresh = theta_constants_batch(tau, ms)
+                for row, m in zip(rows, ms):
+                    assert row["abs_value"] == pytest.approx(abs(fresh[m]), abs=1e-15)
+                    assert row["vanished"] == (abs(fresh[m]) < v.tol * scale)
+                assert v.verdict == all(r["vanished"] for r in rows
+                                        if r.get("required", True))
+
+    def test_mapping_is_read_only(self):
+        _, values = even_scale(PeriodMatrix.diagonal([1j, 1.2j]))
+        with pytest.raises(TypeError):
+            values[Characteristic.zero(2)] = 0j
+
+    def test_other_theta_tol_recomputes(self, monkeypatch):
+        calls = []
+
+        def counting(tau, characteristics, tol):
+            calls.append(tol)
+            return theta_constants_batch(tau, characteristics, tol=tol)
+
+        monkeypatch.setattr(loci, "theta_constants_batch", counting)
+        tau = PeriodMatrix.diagonal([1j, 1.1j, 1.3j])
+        coarse = even_scale(tau, 1e-10)
+        fine = even_scale(tau, 1e-13)
+        assert even_scale(tau, 1e-10) is coarse
+        assert calls == [1e-10, 1e-13]
+        assert fine[0] == pytest.approx(coarse[0], abs=2e-10)
+
+    def test_equal_period_matrices_each_correct(self):
+        entries = np.diag([1j, 1.1j, 1.3j]) + 0.05j * (1 - np.eye(3))
+        evens = enumerate_characteristics(3, parity_filter=EVEN)
+        for tau in (PeriodMatrix(entries), PeriodMatrix(entries)):
+            scale, values = even_scale(tau)
+            fresh = theta_constants_batch(tau, evens)
+            assert values.keys() == fresh.keys()
+            assert all(abs(values[m] - fresh[m]) <= 1e-15 for m in evens)
+            assert scale == max(map(abs, values.values()))
+
+    @pytest.mark.parametrize("g", (2, 3, 4, 5))
+    def test_informational_set_matches_oracle(self, g):
+        tau = PeriodMatrix.diagonal([1j + 0.1j * a for a in range(g)])
+        rows = [dict(w) for w in hyperelliptic_vanishing_test(tau).witness]
+        extra = [r["characteristic"] for r in rows if not r["required"]]
+        assert extra == [m.compact() for m in _exact_g_sums_oracle(g)]
 
 
 class TestRemarkHpo:
