@@ -20,9 +20,10 @@ MAX_ENUM_GENUS = 8
 
 _COMPACT_RE = re.compile(r"^\[([01]+);([01]+)\]$")
 _VERBOSE_RE = re.compile(r"^eps:([01]+)\s+delta:([01]+)$")
+_BITS = frozenset((0, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Characteristic:
     """A theta characteristic m = [eps; delta] with eps, delta in Z_2^g."""
 
@@ -30,13 +31,17 @@ class Characteristic:
     delta: tuple
 
     def __post_init__(self):
-        if len(self.eps) != len(self.delta):
+        eps, delta = self.eps, self.delta
+        if len(eps) != len(delta):
             raise ValueError("eps and delta must have equal length")
-        if not self.eps:
+        if not eps:
             raise ValueError("genus must be positive")
-        for bit in itertools.chain(self.eps, self.delta):
-            if bit not in (0, 1):
-                raise ValueError("characteristic entries must be 0 or 1")
+        try:
+            valid = _BITS.issuperset(eps) and _BITS.issuperset(delta)
+        except TypeError:  # an unhashable entry is not a bit either
+            valid = False
+        if not valid:
+            raise ValueError("characteristic entries must be 0 or 1")
 
     @property
     def g(self):
@@ -114,15 +119,16 @@ def enumerate_characteristics(g, parity_filter=None, class_filter=None):
         raise ValueError("genus must be positive")
     if g > MAX_ENUM_GENUS:
         raise ValueError("enumeration bound exceeded: g=%d > %d" % (g, MAX_ENUM_GENUS))
+    bits = list(itertools.product((0, 1), repeat=g))  # bits[x]: x as g bits
     out = []
-    # masks count up in lexicographic (eps, delta) order; see _char_to_mask
-    for mask in range(1 << 2 * g):
-        l = ((mask >> g) & mask).bit_count()
-        if parity_filter is not None and (ODD if l % 2 else EVEN) != parity_filter:
-            continue
-        if class_filter is not None and l != class_filter:
-            continue
-        out.append(_mask_to_char(mask, g))
+    for e, eps in enumerate(bits):
+        for d, delta in enumerate(bits):
+            l = (e & d).bit_count()
+            if parity_filter is not None and (ODD if l % 2 else EVEN) != parity_filter:
+                continue
+            if class_filter is not None and l != class_filter:
+                continue
+            out.append(Characteristic(eps, delta))
     return out
 
 

@@ -369,12 +369,13 @@ def _theta_numeric_checks(g, rng, n_samples, tol):
     factorization, the diagonal product formula, and the heat equation."""
     checks = []
     worst = {"parity": 0.0, "factorization": 0.0, "diagonal": 0.0, "heat": 0.0}
+    odd = chars.enumerate_characteristics(g, parity_filter=chars.ODD)
+    evens = chars.enumerate_characteristics(g, parity_filter=chars.EVEN)
     for _ in range(n_samples):
         t = theta.sample_generic_diagonal(g, 0, rng)
         tau = theta.PeriodMatrix.diagonal(t).perturbed(
             expand.random_offdiagonal_direction(g, rng), 0.1
         )
-        odd = chars.enumerate_characteristics(g, parity_filter=chars.ODD)
         m = odd[rng.integers(len(odd))]
         worst["parity"] = max(worst["parity"], abs(theta.eval_theta(m, tau, tol=tol)))
         # block factorization
@@ -383,7 +384,6 @@ def _theta_numeric_checks(g, rng, n_samples, tol):
         block[:g1, g1:] = 0.0
         block[g1:, :g1] = 0.0
         btau = theta.PeriodMatrix(block)
-        evens = chars.enumerate_characteristics(g, parity_filter=chars.EVEN)
         m = evens[rng.integers(len(evens))]
         m1 = chars.Characteristic(m.eps[:g1], m.delta[:g1])
         m2 = chars.Characteristic(m.eps[g1:], m.delta[g1:])

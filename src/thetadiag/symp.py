@@ -4,9 +4,10 @@ Only the mod-2 quotient of the integral symplectic group acts on
 characteristics.  An element is held as its four g x g blocks over Z_2
 (numpy uint8 arrays), which the group law multiplies.  For the action each
 element is compiled once into an affine map on characteristics as 2g-bit
-masks (chars._char_to_mask): one image mask per input bit plus a shift
-mask, so acting is a XOR of columns and an orbit is a breadth-first search
-over ints.
+masks (chars._char_to_mask): two 2^g-entry lookup tables, giving the image
+under the linear part of the high (eps) and of the low (delta) half of a
+mask, plus a shift mask.  Acting is two lookups and two XORs, and an orbit
+is a breadth-first search over ints.
 """
 
 from __future__ import annotations
@@ -72,10 +73,12 @@ class SpMod2Element:
 
     @cached_property
     def _affine(self):
-        """The action (see act) on 2g-bit masks as (columns, shift).
+        """The action (see act) on 2g-bit masks as (g, high, low, shift).
 
-        columns[k] is the image of the mask 1 << k under the linear part;
-        shift is the image of the zero characteristic.
+        high[e] and low[d] are the images under the linear part of the masks
+        e << g and d, for e, d < 2^g; shift is the image of the zero
+        characteristic.  So mask x goes to
+        high[x >> g] ^ low[x & (2^g - 1)] ^ shift.
         """
         # numpy rows and columns in mask bit order, most significant first:
         # eps_1..eps_g, delta_1..delta_g
@@ -85,8 +88,17 @@ class SpMod2Element:
         def to_mask(bits):
             return int("".join(map(str, bits)), 2)
 
-        columns = tuple(to_mask(linear[:, j]) for j in reversed(range(2 * self.g)))
-        return columns, to_mask(shift)
+        def table(bits):
+            # entry x is the XOR of the images of the set bits of x; each
+            # column (least significant first) doubles the table
+            out = [0]
+            for j in reversed(bits):
+                column = to_mask(linear[:, j])
+                out += [image ^ column for image in out]
+            return out
+
+        g = self.g
+        return g, table(range(g)), table(range(g, 2 * g)), to_mask(shift)
 
     @staticmethod
     def identity(g):
@@ -100,12 +112,8 @@ class SpMod2Element:
 
 
 def _apply(affine, mask):
-    columns, image = affine
-    for column in columns:
-        if mask & 1:
-            image ^= column
-        mask >>= 1
-    return image
+    g, high, low, shift = affine
+    return high[mask >> g] ^ low[mask & ((1 << g) - 1)] ^ shift
 
 
 def act(sigma, m):
@@ -215,21 +223,24 @@ def orbit(m, generators):
         raise ValueError("need at least one generator")
     if any(gen.g != m.g for gen in generators):
         raise ValueError("genus mismatch")
-    maps = [gen._affine for gen in generators]
+    g = m.g
+    low_bits = (1 << g) - 1
+    maps = [gen._affine[1:] for gen in generators]
     start = _char_to_mask(m)
     seen = {start}
     frontier = [start]
     while frontier:
         new_frontier = []
         for x in frontier:
-            for affine in maps:
-                y = _apply(affine, x)
+            e, d = x >> g, x & low_bits
+            for high, low, shift in maps:
+                y = high[e] ^ low[d] ^ shift
                 if y not in seen:
                     seen.add(y)
                     new_frontier.append(y)
         frontier = new_frontier
     # mask order is the lexicographic (eps, delta) order
-    return [_mask_to_char(x, m.g) for x in sorted(seen)]
+    return [_mask_to_char(x, g) for x in sorted(seen)]
 
 
 @dataclass(frozen=True)

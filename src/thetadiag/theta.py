@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,11 @@ class PeriodMatrix:
 
     def lambda_min(self):
         """Smallest eigenvalue of Im tau; controls the truncation radius."""
+        return self._lambda_min
+
+    @cached_property
+    def _lambda_min(self):
+        # the entries are write-protected, so one eigvalsh serves every pass
         return float(np.linalg.eigvalsh(self.entries.imag)[0])
 
     @staticmethod
@@ -193,9 +199,15 @@ def _lattice_sums(tau, eps, shift_z, radius, weights):
     ellipsoid of the given radius of exp(pi i (q^t tau q + 2 q . shift_z))
     times each column of the N x K matrix weights(q)."""
     q = _ellipsoid_points(tau, np.asarray(eps, dtype=float) / 2.0, radius)
-    quad = ((q @ tau.entries) * q).sum(axis=1)
+    # q is real: two real quadratic forms, not a complex N x g product
+    quad = (np.einsum("ij,ij->i", q @ tau.entries.real, q)
+            + 1j * np.einsum("ij,ij->i", q @ tau.entries.imag, q))
     terms = np.exp(np.pi * 1j * (quad + 2.0 * (q @ shift_z)))
-    return terms @ weights(q)
+    w = weights(q)
+    if np.isrealobj(w):
+        # two real products, not a complex copy of w
+        return terms.real @ w + 1j * (terms.imag @ w)
+    return terms @ w
 
 
 def _phases(q, deltas):
@@ -228,7 +240,7 @@ def _theta_sum(tau, eps, delta, z, multi_indices, tol):
                                int(orders.max(initial=0)), tol)
     shift_z = z + np.asarray(delta, dtype=float) / 2.0
     values = _lattice_sums(tau, eps, shift_z, radius,
-                           lambda q: _monomials(q, alphas) * (2j * np.pi) ** orders)
+                           lambda q: _monomials(q, alphas)) * (2j * np.pi) ** orders
     return [complex(v) for v in values]
 
 

@@ -72,6 +72,11 @@ class TestCharacteristic:
             Characteristic((2,), (0,))
         with pytest.raises(ValueError):
             Characteristic((), ())
+        for entry in (-1, 0.5, "1", None, [0]):
+            with pytest.raises(ValueError):
+                Characteristic((0, entry), (1, 0))
+            with pytest.raises(ValueError):
+                Characteristic((0, 1), (entry, 0))
 
     def test_addition_is_componentwise_xor(self):
         a = Characteristic.parse("[110;011]")

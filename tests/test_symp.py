@@ -9,6 +9,7 @@ import pytest
 from thetadiag import symp
 from thetadiag.chars import (
     EVEN,
+    MAX_ENUM_GENUS,
     ODD,
     Characteristic,
     enumerate_characteristics,
@@ -120,11 +121,20 @@ class TestAction:
         with pytest.raises(ValueError):
             act(SpMod2Element.identity(2), Characteristic.zero(3))
 
-    @pytest.mark.parametrize("g", range(1, 5))
+    @pytest.mark.parametrize("g", range(1, 9))
     def test_compiled_action_matches_matrix_formula(self, g):
         rng = np.random.default_rng(10 + g)
-        for el in elements_under_test(g, rng):
-            for m in enumerate_characteristics(g):
+        els = elements_under_test(g, rng)
+        if g <= 4:
+            sample = enumerate_characteristics(g)
+        else:
+            # the compiled tables split the mask at bit g: draw both halves
+            def bits():
+                return tuple(int(x) for x in rng.integers(0, 2, g))
+
+            sample = [Characteristic(bits(), bits()) for _ in range(100)]
+        for el in els:
+            for m in sample:
                 assert act(el, m) == act_oracle(el, m)
 
     @pytest.mark.parametrize("g", range(1, 5))
@@ -138,7 +148,7 @@ class TestAction:
 
 
 class TestOrbits:
-    @pytest.mark.parametrize("g", range(2, 8))
+    @pytest.mark.parametrize("g", range(2, MAX_ENUM_GENUS + 1))
     def test_transitivity(self, g):
         report = verify_transitivity(g)
         assert report.passed
