@@ -318,14 +318,17 @@ def _cmd_loci_test(args, rng):
     if args.tau:
         tau = _load_tau(args)
         _require_genus(tau.g, 1, theta.MAX_NUMERIC_GENUS)
-        v = loci.is_diagonal_orbit(tau, tol=args.tol)
-        checks.append(_check("diagonal-orbit detector", True, verdict=v.verdict,
-                             tau_digest=v.tau_digest))
-        for g1 in range(1, tau.g):
-            v = loci.is_product_orbit(tau, g1, tol=args.tol)
-            checks.append(_check("product-orbit detector split %d+%d"
-                                 % (g1, tau.g - g1), True, verdict=v.verdict))
-        v = loci.hyperelliptic_vanishing_test(tau, tol=args.tol)
+        try:
+            v = loci.is_diagonal_orbit(tau, tol=args.tol)
+            checks.append(_check("diagonal-orbit detector", True, verdict=v.verdict,
+                                 tau_digest=v.tau_digest))
+            for g1 in range(1, tau.g):
+                v = loci.is_product_orbit(tau, g1, tol=args.tol)
+                checks.append(_check("product-orbit detector split %d+%d"
+                                     % (g1, tau.g - g1), True, verdict=v.verdict))
+            v = loci.hyperelliptic_vanishing_test(tau, tol=args.tol)
+        except ValueError as exc:  # e.g. the lattice point budget
+            raise UsageError(str(exc))
         checks.append(_check("hyperelliptic vanishing detector", True,
                              verdict=v.verdict))
         return checks

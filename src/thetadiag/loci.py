@@ -38,10 +38,10 @@ from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
     eval_theta,
+    eval_theta_many,
     hessian,
     gradient,
     numerical_rank,
-    tau_derivative,
     tau_gradient,
     theta_constants_batch,
 )
@@ -391,18 +391,18 @@ def _slice_z_tau(t, weights, eps, tau12):
 
 def impose_thetanull(m, t, weights, eps, phis, theta_tol=DEFAULT_TOL,
                      max_iter=40):
-    """Solve theta_m = 0 for tau_12 on the slice Z by Newton iteration,
-    seeded from the expansion's leading term."""
+    """Solve theta_m = 0 for tau_12 on the slice Z by Newton iteration, seeded
+    from the expansion's leading term; d theta_m/d tau_12 = U d_z1 d_z2 theta_m."""
     tau12 = -U * sum(
         phis[j - 1] * (weights[j - 1] * eps) ** 2 for j in range(3, len(t) + 1)
     )
+    jet = [(0,) * m.g, (1, 1) + (0,) * (m.g - 2)]  # theta_m, d_z1 d_z2 theta_m
     for _ in range(max_iter):
         tau = _slice_z_tau(t, weights, eps, tau12)
-        value = eval_theta(m, tau, tol=theta_tol)
+        value, second = eval_theta_many(m, tau, jet, tol=theta_tol)
         if abs(value) < 1e-13:
             return tau
-        slope = tau_derivative(m, tau, (1, 2), tol=theta_tol)
-        tau12 = tau12 - value / slope
+        tau12 = tau12 - value / (U * second)
     raise ValueError("theta-null imposition did not converge")
 
 

@@ -10,12 +10,16 @@ van Hoeij and Schmies, "Computing Riemann theta functions", Math. Comp.
 smallest whole number whose rigorous tail bound, aware of the derivative
 order and of Im z, is below the requested tolerance (_ellipsoid_radius);
 a sum needing more than MAX_POINTS points raises ValueError before they
-are allocated.  One pass per eps serves every delta and derivative
-multi-index: a delta enters as the phase exp(pi i q . delta), an exact
-quarter turn i ** (2q . delta), and a multi-index alpha as the monomial
-q ** alpha, read off a table of powers built by repeated multiplication.
-z-derivatives are computed by term-wise differentiation of the series,
-never by finite differences; tau derivatives come from the heat equation.
+are allocated.  One kernel, _jet, sums for every entry point, after
+reducing Re z mod 2 (theta(z + 2n) = theta(z) for n in Z^g, exactly).
+Its pass per eps serves every delta and derivative multi-index: the first
+delta enters the exponent, each other one the phase
+exp(pi i q . (delta - delta_0)), an exact quarter turn, and a multi-index
+alpha the monomial q ** alpha, read off a table of powers.  One delta meets
+the real monomials in two real products; several meet the phases after
+the monomials in one complex product (an N x (D K) weight matrix is
+slower).  z-derivatives are term-wise derivatives of the series, never
+finite differences; tau derivatives come from the heat equation.
 """
 
 from __future__ import annotations
@@ -89,25 +93,17 @@ class PeriodMatrix:
 
     @staticmethod
     def from_json(obj):
+        """The inverse of to_json, from the object or its JSON text; ValueError
+        unless it holds g and a g x g array of [re, im] number pairs."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        entries = np.array(
-            [[complex(re, im) for re, im in row] for row in obj["entries"]]
-        )
-        if obj.get("g") != entries.shape[0]:
+        pairs = np.asarray(obj.get("entries") if isinstance(obj, dict) else None)
+        if (pairs.dtype.kind not in "iuf" or pairs.ndim != 3
+                or pairs.shape[1:] != (pairs.shape[0], 2)):
+            raise ValueError("entries must be a g x g array of [re, im] number pairs")
+        if obj.get("g") != pairs.shape[0]:
             raise ValueError("declared g does not match entries shape")
-        return PeriodMatrix(entries)
-
-
-def _check_eval_args(m, tau, tol):
-    if m.g != tau.g:
-        raise ValueError("genus mismatch")
-    if tau.g > MAX_NUMERIC_GENUS:
-        raise ValueError("numeric genus cap exceeded: g=%d > %d" % (tau.g, MAX_NUMERIC_GENUS))
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be finite and positive: %r" % tol)
-    if tol < MIN_TOL:
-        raise ValueError("tolerance below achievable precision: %g" % tol)
+        return PeriodMatrix(np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0])
 
 
 def _ellipsoid_radius(tau, ynorm, order, tol):
@@ -194,24 +190,8 @@ def _ellipsoid_points(tau, shift, radius):
     return q
 
 
-def _lattice_sums(tau, eps, shift_z, radius, weights):
-    """The lattice kernel: sum over the points q of eps/2 + Z^g inside the
-    ellipsoid of the given radius of exp(pi i (q^t tau q + 2 q . shift_z))
-    times each column of the N x K matrix weights(q)."""
-    q = _ellipsoid_points(tau, np.asarray(eps, dtype=float) / 2.0, radius)
-    # q is real: two real quadratic forms, not a complex N x g product
-    quad = (np.einsum("ij,ij->i", q @ tau.entries.real, q)
-            + 1j * np.einsum("ij,ij->i", q @ tau.entries.imag, q))
-    terms = np.exp(np.pi * 1j * (quad + 2.0 * (q @ shift_z)))
-    w = weights(q)
-    if np.isrealobj(w):
-        # two real products, not a complex copy of w
-        return terms.real @ w + 1j * (terms.imag @ w)
-    return terms @ w
-
-
 def _phases(q, deltas):
-    """exp(pi i q . delta) for rows q of eps/2 + Z^g and delta of {0,1}^g,
+    """exp(pi i q . delta) for rows q of eps/2 + Z^g and integer vectors delta,
     as N x K: 2q is a whole vector, so the phase is exactly i ** (2q . delta)."""
     return _QUARTER_TURNS[np.rint(2.0 * q @ deltas.T).astype(np.intp) & 3]
 
@@ -229,19 +209,52 @@ def _monomials(q, alphas):
     return product.T
 
 
-def _theta_sum(tau, eps, delta, z, multi_indices, tol):
-    """One lattice pass returning one value per derivative multi-index."""
-    z = np.zeros(tau.g, dtype=complex) if z is None else np.asarray(z, dtype=complex)
+def _jet(tau, chars, multi_indices, z, tol, max_order):
+    """d^alpha theta_m(tau, z) for each m of chars (rows) and alpha of
+    multi_indices (columns), absolute error below tol: one validation, one
+    radius, and per distinct eps one point set and one exponential."""
+    g = tau.g
+    if any(m.g != g for m in chars):
+        raise ValueError("genus mismatch")
+    if g > MAX_NUMERIC_GENUS:
+        raise ValueError("numeric genus cap exceeded: g=%d > %d" % (g, MAX_NUMERIC_GENUS))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive: %r" % tol)
+    if tol < MIN_TOL:
+        raise ValueError("tolerance below achievable precision: %g" % tol)
+    alphas = [tuple(int(k) for k in alpha) for alpha in multi_indices]
+    for alpha in alphas:
+        if len(alpha) != g or min(alpha) < 0 or sum(alpha) > max_order:
+            raise ValueError("bad derivative multi-index %r: need %d entries >= 0 "
+                             "of total order <= %d" % (alpha, g, max_order))
+    alphas = np.array(alphas, dtype=int).reshape(len(alphas), g)
+    z = np.zeros(g) if z is None else np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")
-    alphas = np.array(multi_indices, dtype=int).reshape(len(multi_indices), tau.g)
+    # theta(z + 2n) = theta(z) for n in Z^g, and so is every z-derivative:
+    # an exact reduction to |Re z| <= 1 that leaves no sign to track
+    z = z - 2.0 * np.rint(z.real / 2.0)
     orders = alphas.sum(axis=1)
-    radius = _ellipsoid_radius(tau, math.hypot(*z.imag),
-                               int(orders.max(initial=0)), tol)
-    shift_z = z + np.asarray(delta, dtype=float) / 2.0
-    values = _lattice_sums(tau, eps, shift_z, radius,
-                           lambda q: _monomials(q, alphas)) * (2j * np.pi) ** orders
-    return [complex(v) for v in values]
+    radius = _ellipsoid_radius(tau, math.hypot(*z.imag), int(orders.max(initial=0)), tol)
+    rows_by_eps = {}
+    for row, m in enumerate(chars):
+        rows_by_eps.setdefault(m.eps, []).append(row)
+    values = np.empty((len(chars), len(alphas)), dtype=complex)
+    for eps, rows in rows_by_eps.items():
+        deltas = np.array([chars[row].delta for row in rows], dtype=float)
+        q = _ellipsoid_points(tau, np.asarray(eps, dtype=float) / 2.0, radius)
+        # q is real: two real quadratic forms, not a complex N x g product
+        quad = (np.einsum("ij,ij->i", q @ tau.entries.real, q)
+                + 1j * np.einsum("ij,ij->i", q @ tau.entries.imag, q))
+        terms = np.exp(np.pi * 1j * (quad + 2.0 * (q @ (z + deltas[0] / 2.0))))
+        monomials = _monomials(q, alphas)
+        if len(rows) == 1:
+            # two real products, not a complex copy of the monomials
+            sums = (terms.real @ monomials + 1j * (terms.imag @ monomials))[None]
+        else:
+            sums = ((terms[:, None] * monomials).T @ _phases(q, deltas - deltas[0])).T
+        values[rows] = sums * (2j * np.pi) ** orders
+    return values
 
 
 def eval_theta(m, tau, z=None, deriv=None, tol=DEFAULT_TOL, max_order=MAX_DERIV_ORDER):
@@ -250,44 +263,22 @@ def eval_theta(m, tau, z=None, deriv=None, tol=DEFAULT_TOL, max_order=MAX_DERIV_
     Absolute error is below tol.  max_order caps the total derivative
     order (default 4; the genus-1 helpers raise it to 5 internally).
     """
-    _check_eval_args(m, tau, tol)
-    if deriv is None:
-        deriv = (0,) * m.g
-    deriv = tuple(int(k) for k in deriv)
-    if len(deriv) != m.g:
-        raise ValueError("derivative multi-index length must equal the genus")
-    if sum(deriv) > max_order:
-        raise ValueError("derivative order %d above cap %d" % (sum(deriv), max_order))
-    return _theta_sum(tau, m.eps, m.delta, z, [deriv], tol)[0]
+    deriv = (0,) * tau.g if deriv is None else deriv
+    return complex(_jet(tau, [m], [deriv], z, tol, max_order)[0, 0])
 
 
 def eval_theta_many(m, tau, multi_indices, z=None, tol=DEFAULT_TOL,
                     max_order=MAX_DERIV_ORDER):
     """Several z-derivatives of theta_m in a single lattice pass."""
-    _check_eval_args(m, tau, tol)
-    multi_indices = [tuple(int(k) for k in a) for a in multi_indices]
-    for alpha in multi_indices:
-        if len(alpha) != m.g or sum(alpha) > max_order:
-            raise ValueError("bad derivative multi-index %r" % (alpha,))
-    return _theta_sum(tau, m.eps, m.delta, z, multi_indices, tol)
+    return _jet(tau, [m], multi_indices, z, tol, max_order)[0].tolist()
 
 
 def theta_constants_batch(tau, characteristics, tol=DEFAULT_TOL):
-    """Theta constants for many characteristics, one lattice pass per eps:
-    delta only contributes the phase exp(pi i q . delta) per lattice point,
-    an exact quarter turn i ** (2q . delta) (see _phases)."""
-    by_eps = {}
-    for m in characteristics:
-        _check_eval_args(m, tau, tol)
-        by_eps.setdefault(m.eps, []).append(m)
-    radius = _ellipsoid_radius(tau, 0.0, 0, tol)
-    out = {}
-    for eps, group in by_eps.items():
-        deltas = np.array([m.delta for m in group], dtype=float)
-        values = _lattice_sums(tau, eps, np.zeros(tau.g), radius,
-                               lambda q: _phases(q, deltas))
-        out.update(zip(group, map(complex, values)))
-    return out
+    """Theta constants for many characteristics, one lattice pass per eps,
+    as a mapping from characteristic to value."""
+    characteristics = list(characteristics)
+    values = _jet(tau, characteristics, [(0,) * tau.g], None, tol, 0)
+    return dict(zip(characteristics, values[:, 0].tolist()))
 
 
 def _unit(g, a, b=None):

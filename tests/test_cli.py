@@ -156,6 +156,20 @@ class TestThetaEval:
         assert code == EXIT_USAGE
         assert "budget" in capsys.readouterr().err
 
+    def test_negative_derivative_order(self, tau_file, capsys):
+        code = run(["theta-eval", "--tau", tau_file, "--char", "[000;000]",
+                    "--deriv=-1,1,0"])
+        assert code == EXIT_USAGE
+        assert "bad derivative multi-index" in capsys.readouterr().err
+
+    def test_huge_real_z(self, tmp_path, tau_file):
+        # 1e308 and 1e17 are even integers: theta(z) = theta(0)
+        base = ["theta-eval", "--tau", tau_file, "--char", "[100;110]"]
+        _, at_zero = run_json(base, tmp_path, "zero.json")
+        code, report = run_json(base + ["--z", "1e308,1e17,-1e308"], tmp_path)
+        assert code == EXIT_PASS
+        assert report["checks"][0]["value"] == at_zero["checks"][0]["value"]
+
 
 class TestVerificationJobs:
     def test_expand_verify(self, tmp_path):
@@ -254,6 +268,27 @@ class TestInputContract:
         path.write_text(json.dumps(PeriodMatrix.diagonal([1j] * 6).to_json()))
         assert run(["loci-test", "--tau", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: need 1 <= g <= 5\n"
+
+    @pytest.mark.parametrize("command", [
+        ["theta-eval", "--char", "[00;00]"],
+        ["loci-test"],
+    ])
+    @pytest.mark.parametrize("obj", [
+        {"g": 2, "entries": [[["a", 1], [0, 0]], [[0, 0], [0, 1]]]},
+        {"g": 2, "entries": [[0, 1], [0, 0]]},
+        [1, 2],
+    ], ids=["string-entry", "flat", "top-level-list"])
+    def test_malformed_tau_file(self, command, obj, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert run(command + ["--tau", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot load period matrix")
+
+    def test_loci_test_tau_beyond_the_point_budget(self, tmp_path, capsys):
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(PeriodMatrix.diagonal([0.02j] * 5).to_json()))
+        assert run(["loci-test", "--tau", str(path)]) == EXIT_USAGE
+        assert "budget" in capsys.readouterr().err
 
     def test_increasing_ladder(self, capsys):
         code = run(["grad-verify", "--g", "4", "--ladder", "0.1,0.2"])

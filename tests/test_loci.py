@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from thetadiag import loci
+from thetadiag import loci, theta
 from thetadiag.chars import (
     EVEN,
     Characteristic,
@@ -349,6 +349,29 @@ class TestMinorIdentities:
         result = minor_identity_check(5, t, "D12jj", rng)
         assert solved_at == default_ladder()
         assert len(result.slope_reports) == 2  # j = 4, 5
+
+    def test_impose_thetanull_sums_one_lattice_per_iteration(self, monkeypatch):
+        # each Newton iteration builds one slice point and reads theta and
+        # its tau_12 derivative from one lattice pass at it
+        counts = {"iterations": 0, "passes": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(loci, "_slice_z_tau", counting("iterations", loci._slice_z_tau))
+        monkeypatch.setattr(theta, "_ellipsoid_points",
+                            counting("passes", theta._ellipsoid_points))
+        g = 5
+        rng = np.random.default_rng(13)
+        t = sample_generic_diagonal(g, 2, rng)
+        _, phis, _ = bind_symbols(t, 2, tol=1e-13)
+        counts.update(iterations=0, passes=0)
+        impose_thetanull(_m0(g), t, rng.uniform(0.5, 1.0, size=g), 2.0**-4, phis, 1e-13)
+        assert counts["iterations"] >= 2
+        assert counts["passes"] == counts["iterations"]
 
     def test_impose_thetanull_drives_theta_to_zero(self):
         g = 4

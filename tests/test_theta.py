@@ -247,6 +247,19 @@ class TestStructuralIdentities:
         rhs = np.exp(1j * np.pi * m.eps[0]) * eval_theta(m, tau, z=z)
         assert abs(lhs - rhs) < 1e-10
 
+    def test_huge_real_shift_is_reduced_exactly(self):
+        # theta(z + n) = (-1)^(eps . n) theta(z) for n in Z^g, and so are its
+        # second derivatives; 1e17 is even and 2^53 - 1 odd
+        tau = _random_tau(2, np.random.default_rng(12))
+        z = [0.2j, -0.1j]
+        shifted = [1e17 + 0.2j, 2.0**53 - 1 - 0.1j]
+        alphas = [(0, 0), (2, 0), (1, 1), (0, 2)]
+        for m in enumerate_characteristics(2):
+            expected = (-1) ** m.eps[1] * np.array(eval_theta_many(m, tau, alphas, z=z))
+            np.testing.assert_allclose(eval_theta_many(m, tau, alphas, z=shifted),
+                                       expected, rtol=1e-12, atol=1e-12)
+            assert abs(eval_theta(m, tau, z=shifted) - expected[0]) < 1e-12
+
 
 class TestDerivatives:
     def test_gradient_vs_finite_differences(self):
@@ -336,9 +349,13 @@ class TestBatchAndBounds:
         # odd characteristics included: their constants vanish to rounding
         tau = _random_tau(g, np.random.default_rng(40 + g))
         chars = enumerate_characteristics(g)
-        values = theta_constants_batch(tau, chars)
-        for m in chars:
-            assert abs(values[m] - eval_theta(m, tau)) < 1e-12
+        # reversed, each eps leads with delta = 1...1 in the exponent; one
+        # characteristic per eps takes the batch's one-delta path
+        one_per_eps = list({m.eps: m for m in chars}.values())
+        for batch in (chars, chars[::-1], one_per_eps):
+            values = theta_constants_batch(tau, batch)
+            for m in batch:
+                assert abs(values[m] - eval_theta(m, tau)) < 1e-12
 
     @pytest.mark.parametrize("g", range(1, MAX_NUMERIC_GENUS + 1))
     def test_quarter_turn_phases_vs_exponentials(self, g):
@@ -417,6 +434,15 @@ class TestBatchAndBounds:
             eval_theta(m, tau, deriv=(MAX_DERIV_ORDER + 1,))
         # explicit override allows higher orders (used for genus-1 symbols)
         eval_theta(m, tau, deriv=(MAX_DERIV_ORDER + 1,), max_order=6)
+
+    @pytest.mark.parametrize("alpha", [(-1, 1), (2, -1)])
+    def test_negative_derivative_orders_rejected(self, alpha):
+        tau = PeriodMatrix.diagonal([1j, 1j])
+        m = Characteristic.zero(2)
+        with pytest.raises(ValueError, match="bad derivative multi-index"):
+            eval_theta(m, tau, deriv=alpha)
+        with pytest.raises(ValueError, match="bad derivative multi-index"):
+            eval_theta_many(m, tau, [(0, 0), alpha])
 
 
 class TestGenus1Symbols:
