@@ -2,7 +2,8 @@
 
 Each subcommand assembles a report dictionary with a versioned schema
 ("schema": 1), the seed used, and one entry per check; the process exits 0
-iff all checks pass, 1 if any check fails, and 2 on malformed input.
+iff all checks pass, 1 if any check fails (or a forked check process of
+report-all ends without a result), and 2 on malformed input.
 
 Randomness: all random draws flow through numpy's default_rng (PCG64),
 seeded from --seed, so identical job configurations reproduce identical
@@ -12,10 +13,13 @@ reports modulo the timestamp field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
 import math
+import os
+import pickle
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -32,6 +36,71 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     """Malformed input: reported on stderr with exit code 2."""
+
+
+class ChildLost(Exception):
+    """A forked check process ended without a result: reported on stderr
+    with exit code 1."""
+
+
+@contextlib.contextmanager
+def _forked(fn, *args):
+    """Run fn(*args) in a forked child while the body of the with block runs;
+    the block gets a function that waits for the child and returns fn's
+    value, or raises the exception fn raised.
+
+    fn must draw nothing from the job's random generator: the child's copy
+    of it is discarded.  The outcome comes back pickled through a pipe; a
+    child that ends without one (or whose outcome does not pickle) raises
+    ChildLost.  The child always ends with os._exit, and it is reaped
+    (killed first if its result was not collected) however the block ends.
+    Without os.fork, fn runs here, before the block."""
+    if not hasattr(os, "fork"):
+        outcome = fn(*args)
+        yield lambda: outcome
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, fn(*args))
+            except BaseException as exc:
+                outcome = (False, exc)
+            with os.fdopen(write_fd, "wb") as fh:
+                pickle.dump(outcome, fh)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        payload = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code != 0 or not payload:
+            raise ChildLost("the check process for %s ended with %s and no result"
+                            % (fn.__name__, "exit code %d" % code if code >= 0
+                               else "signal %d" % -code))
+        ok, value = pickle.loads(payload)
+        if ok:
+            return value
+        raise value
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        if not reaped:
+            import signal  # here, not at startup: only a failed job gets here
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _parse_ladder(text):
@@ -268,8 +337,6 @@ def _cmd_theta_eval(args, rng):
     if m.g != tau.g:
         raise UsageError("characteristic genus does not match the period matrix")
     z = _parse_complex_vector(args.z) if args.z else None
-    if z is not None and len(z) != tau.g:
-        raise UsageError("z must have length g")
     deriv = None
     if args.deriv:
         try:
@@ -462,8 +529,9 @@ def _bracket_example_checks():
     return [_check("bracket example: %s" % label, ok) for label, ok in cases]
 
 
-def _cmd_report_all(args, rng):
-    _require_genus(args.g, 1, theta.MAX_NUMERIC_GENUS)
+def _exact_checks():
+    """The exact layer of report-all: counts, orbits, fundamental systems
+    and vanishing sets over Z_2; no random draws and no theta values."""
     checks = []
     # counting
     for g in range(1, 9):
@@ -510,29 +578,45 @@ def _cmd_report_all(args, rng):
             _check("vanishing-set characteristics lie in E*, g=%d" % g,
                    chars.vanish_lemma_check(g))
         )
-    # theta numerics
-    for g in range(2, min(args.g, 4) + 1):
-        checks += _theta_numeric_checks(g, rng, n_samples=10, tol=args.tol)
-    # bracket calculus
-    checks += _bracket_example_checks()
-    # expansion orders
-    checks += _theta_remainder_checks(args.g, rng, [l for l in (2, 4) if l <= args.g],
-                                      3, args.tol, ladder=args.ladder)
-    if args.g >= 3:
-        t = theta.sample_generic_diagonal(args.g, 3, rng)
-        checks += _gradient_remainder_checks(args.g, t, rng, (1, args.g), 3, args.tol,
-                                             ladder=args.ladder)
-        # tridiagonal tangent spaces
-        checks.append(_tridiagonal_check(
-            args.g, theta.sample_generic_diagonal(args.g, 0, rng)))
-    # gradient-locus slice, theta-null rank class and Hessian minors
-    if args.g >= 4:
-        t = theta.sample_generic_diagonal(args.g, 3, rng)
-        checks += _gradient_locus_checks(args.g, t, rng, args.tol, ladder=args.ladder)
-        blocks = [_random_block_product(args.g, rng) for _ in range(5)]
-        checks.append(_rank_class_check(args.g, blocks))
-        checks += _hess_minor_checks(args.g, rng, loci.MINOR_CHECKS, ladder=args.ladder)
     return checks
+
+
+def _cmd_report_all(args, rng):
+    """Every acceptance check.  Each builder that draws from rng runs here,
+    in report order, so the random streams are those of a sequential run;
+    the exact layer and the theta-null rank class (on block points drawn
+    here) draw nothing and run in forked children meanwhile."""
+    _require_genus(args.g, 1, theta.MAX_NUMERIC_GENUS)
+    with _forked(_exact_checks) as exact_checks:
+        checks = []
+        # theta numerics
+        for g in range(2, min(args.g, 4) + 1):
+            checks += _theta_numeric_checks(g, rng, n_samples=10, tol=args.tol)
+        # bracket calculus
+        checks += _bracket_example_checks()
+        # expansion orders
+        checks += _theta_remainder_checks(args.g, rng,
+                                          [l for l in (2, 4) if l <= args.g],
+                                          3, args.tol, ladder=args.ladder)
+        if args.g >= 3:
+            t = theta.sample_generic_diagonal(args.g, 3, rng)
+            checks += _gradient_remainder_checks(args.g, t, rng, (1, args.g), 3,
+                                                 args.tol, ladder=args.ladder)
+            # tridiagonal tangent spaces
+            checks.append(_tridiagonal_check(
+                args.g, theta.sample_generic_diagonal(args.g, 0, rng)))
+        # gradient-locus slice, theta-null rank class and Hessian minors
+        if args.g >= 4:
+            t = theta.sample_generic_diagonal(args.g, 3, rng)
+            checks += _gradient_locus_checks(args.g, t, rng, args.tol,
+                                             ladder=args.ladder)
+            blocks = [_random_block_product(args.g, rng) for _ in range(5)]
+            with _forked(_rank_class_check, args.g, blocks) as rank_class_check:
+                minors = _hess_minor_checks(args.g, rng, loci.MINOR_CHECKS,
+                                            ladder=args.ladder)
+                checks.append(rank_class_check())
+            checks += minors
+        return exact_checks() + checks
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +718,9 @@ def run(argv=None):
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except ChildLost as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_FAIL
     report = {
         "schema": SCHEMA_VERSION,
         "command": args.command,

@@ -37,9 +37,8 @@ from .expand import (bind_symbols, bracket, default_ladder, evaluate, fit_slope,
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
-    eval_theta,
+    _value_and_hessian,
     eval_theta_many,
-    hessian,
     gradient,
     numerical_rank,
     tau_gradient,
@@ -132,10 +131,8 @@ def thetanull_rank_class(tau, m, tol=DEFAULT_VANISH_TOL, rank_rel_tol=1e-7,
     """(is_null, rank): whether theta_m vanishes relative to the even scale,
     and the numerical rank of the z-Hessian of theta_m at z=0."""
     scale, _ = even_scale(tau, theta_tol)
-    value = eval_theta(m, tau, tol=theta_tol)
-    is_null = abs(value) < tol * scale
-    rank = numerical_rank(hessian(m, tau, tol=theta_tol), rank_rel_tol)
-    return is_null, rank
+    value, h = _value_and_hessian(m, tau, tol=theta_tol)
+    return abs(value) < tol * scale, numerical_rank(h, rank_rel_tol)
 
 
 def hyperelliptic_vanishing_test(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):

@@ -229,6 +229,8 @@ def _jet(tau, chars, multi_indices, z, tol, max_order):
                              "of total order <= %d" % (alpha, g, max_order))
     alphas = np.array(alphas, dtype=int).reshape(len(alphas), g)
     z = np.zeros(g) if z is None else np.asarray(z, dtype=complex)
+    if z.shape != (g,):
+        raise ValueError("z must have length g")
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")
     # theta(z + 2n) = theta(z) for n in Z^g, and so is every z-derivative:
@@ -295,16 +297,30 @@ def gradient(m, tau, tol=DEFAULT_TOL):
     return np.array(vals)
 
 
+def _second_order(g):
+    """The multi-indices of the z-Hessian's upper triangle, row by row."""
+    return [_unit(g, a, b) for a in range(g) for b in range(a, g)]
+
+
+def _symmetric(g, upper):
+    """The symmetric g x g matrix with the given upper triangle, row by row."""
+    h = np.zeros((g, g), dtype=complex)
+    for (a, b), v in zip(((a, b) for a in range(g) for b in range(a, g)), upper):
+        h[a, b] = h[b, a] = v
+    return h
+
+
 def hessian(m, tau, tol=DEFAULT_TOL):
     """The symmetric z-Hessian of theta_m at z=0."""
+    return _symmetric(m.g, eval_theta_many(m, tau, _second_order(m.g), tol=tol))
+
+
+def _value_and_hessian(m, tau, tol=DEFAULT_TOL):
+    """theta_m and its z-Hessian at z=0 from one lattice pass (the value is
+    summed to the Hessian's radius)."""
     g = m.g
-    idx = [(a, b) for a in range(g) for b in range(a, g)]
-    vals = eval_theta_many(m, tau, [_unit(g, a, b) for a, b in idx], tol=tol)
-    h = np.zeros((g, g), dtype=complex)
-    for (a, b), v in zip(idx, vals):
-        h[a, b] = v
-        h[b, a] = v
-    return h
+    value, *second = eval_theta_many(m, tau, [(0,) * g] + _second_order(g), tol=tol)
+    return value, _symmetric(g, second)
 
 
 def tau_derivative(m, tau, pair, tol=DEFAULT_TOL):

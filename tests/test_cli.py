@@ -1,13 +1,19 @@
 """The command-line interface: schemas, exit codes, reproducibility."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from thetadiag import cli, loci
+import thetadiag
+from thetadiag import cli, loci, symp
 from thetadiag.chars import MAX_ENUM_GENUS
-from thetadiag.cli import EXIT_PASS, EXIT_USAGE, _parse_ladder, run
+from thetadiag.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, _parse_ladder, run
 from thetadiag.theta import PeriodMatrix
 
 
@@ -17,6 +23,11 @@ def tau_file(tmp_path):
     path = tmp_path / "tau.json"
     path.write_text(json.dumps(tau.to_json()))
     return str(path)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_json(argv, tmp_path, name="report.json"):
@@ -162,6 +173,12 @@ class TestThetaEval:
         assert code == EXIT_USAGE
         assert "bad derivative multi-index" in capsys.readouterr().err
 
+    def test_z_of_the_wrong_length(self, tau_file, capsys):
+        code = run(["theta-eval", "--tau", tau_file, "--char", "[000;000]",
+                    "--z", "0.1,0.2"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: z must have length g\n"
+
     def test_huge_real_z(self, tmp_path, tau_file):
         # 1e308 and 1e17 are even integers: theta(z) = theta(0)
         base = ["theta-eval", "--tau", tau_file, "--char", "[100;110]"]
@@ -245,6 +262,7 @@ class TestVerificationJobs:
         assert code == EXIT_PASS
         assert len(report["checks"]) == count
         assert all(c["pass"] for c in report["checks"])
+        assert_no_child_left()  # g >= 4 forks two check processes
 
 
 class TestInputContract:
@@ -344,3 +362,74 @@ class TestFormatsAndReproducibility:
         second.pop("timestamp")
         assert first != second
         assert first["pass"] and second["pass"]
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test that runs longer than a minute."""
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestForkedChecks:
+    """report-all runs its rng-free checks in forked children."""
+
+    def test_child_exception_reaches_the_parent(self, tmp_path, monkeypatch, deadline):
+        def failing(g):
+            raise ValueError("no orbit at g=%d" % g)
+
+        monkeypatch.setattr(symp, "verify_transitivity", failing)
+        with pytest.raises(ValueError, match="^no orbit at g=2$"):
+            run(["report-all", "--g", "1", "--out", str(tmp_path / "r.json")])
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="checks run inline")
+    @pytest.mark.parametrize("die,how", [
+        (lambda: os._exit(3), "exit code 3"),
+        (lambda: os._exit(0), "exit code 0"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+    ])
+    def test_child_dying_without_a_result_is_one_line(self, die, how, tmp_path,
+                                                      monkeypatch, capsys, deadline):
+        monkeypatch.setattr(symp, "verify_transitivity", lambda g: die())
+        out = tmp_path / "r.json"
+        assert run(["report-all", "--g", "1", "--out", str(out)]) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err == ("error: the check process for _exact_checks ended with "
+                       "%s and no result\n" % how)
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_no_child_left_when_a_parent_builder_raises(self, monkeypatch, deadline):
+        # both children are running when the Hessian minors fail
+        def failing(*args, **kwargs):
+            raise RuntimeError("minors failed")
+
+        monkeypatch.setattr(cli, "_hess_minor_checks", failing)
+        with pytest.raises(RuntimeError, match="minors failed"):
+            run(["report-all", "--g", "4", "--seed", "3"])
+        assert_no_child_left()
+
+    def test_inline_without_fork_gives_the_same_report(self, tmp_path, monkeypatch):
+        _, forked = run_json(["report-all", "--g", "4", "--seed", "5"], tmp_path, "a.json")
+        monkeypatch.delattr(os, "fork")
+        _, inline = run_json(["report-all", "--g", "4", "--seed", "5"], tmp_path, "b.json")
+        forked.pop("timestamp")
+        inline.pop("timestamp")
+        assert forked == inline
+
+    def test_import_loads_no_process_pool(self):
+        # startup stays flat: the children come from os.fork alone
+        src = str(Path(thetadiag.__file__).resolve().parent.parent)
+        probe = ("import sys, thetadiag.cli; print(sorted(m for m in sys.modules if "
+                 "m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"

@@ -444,6 +444,15 @@ class TestBatchAndBounds:
         with pytest.raises(ValueError, match="bad derivative multi-index"):
             eval_theta_many(m, tau, [(0, 0), alpha])
 
+    @pytest.mark.parametrize("z", [0.5, [0.5], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+    def test_z_of_the_wrong_shape_rejected(self, z):
+        tau = PeriodMatrix.diagonal([1j, 1j])
+        m = Characteristic.zero(2)
+        with pytest.raises(ValueError, match="^z must have length g$"):
+            eval_theta(m, tau, z=z)
+        with pytest.raises(ValueError, match="^z must have length g$"):
+            eval_theta_many(m, tau, [(0, 0), (1, 0)], z=z)
+
 
 class TestGenus1Symbols:
     def test_f_phi_psi_consistency(self):
