@@ -192,64 +192,6 @@ def b_char(fs):
     return total
 
 
-def _gf2_solve(columns, target):
-    """Solve sum_{i in S} columns[i] = target over Z_2.
-
-    columns are bitmask ints of the 2g-bit vectors.  Returns (particular
-    solution as index set, kernel basis as list of index sets) or None if
-    unsolvable.
-    """
-    n = len(columns)
-    # rows of the system: one per bit position
-    nbits = max(c.bit_length() for c in columns + [target, 1])
-    # build augmented rows: for bit position b, row over the n unknowns
-    rows = []
-    for b in range(nbits):
-        row = 0
-        for i, c in enumerate(columns):
-            if (c >> b) & 1:
-                row |= 1 << i
-        rhs = (target >> b) & 1
-        rows.append([row, rhs])
-    # Gaussian elimination over GF(2)
-    pivots = []  # (column index, row)
-    used = [False] * len(rows)
-    for col in range(n):
-        pivot_row = None
-        for r, (row, _) in enumerate(rows):
-            if not used[r] and (row >> col) & 1:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        used[pivot_row] = True
-        pivots.append((col, pivot_row))
-        prow, prhs = rows[pivot_row]
-        for r, (row, rhs) in enumerate(rows):
-            if r != pivot_row and (row >> col) & 1:
-                rows[r] = [row ^ prow, rhs ^ prhs]
-    # consistency
-    for r, (row, rhs) in enumerate(rows):
-        if row == 0 and rhs == 1:
-            return None
-    pivot_cols = {col for col, _ in pivots}
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    # particular solution: free vars = 0
-    particular = set()
-    for col, r in pivots:
-        if rows[r][1]:
-            particular.add(col)
-    # kernel basis: one generator per free column
-    kernel = []
-    for fc in free_cols:
-        gen = {fc}
-        for col, r in pivots:
-            if (rows[r][0] >> fc) & 1:
-                gen.add(col)
-        kernel.append(gen)
-    return particular, kernel
-
-
 def _char_to_mask(m):
     """m as a 2g-bit int: the bits of eps then delta, most significant first.
 
@@ -274,69 +216,67 @@ def _mask_to_char(mask, g):
     return Characteristic(_bits(mask >> g, g), _bits(mask & ((1 << g) - 1), g))
 
 
+def _gf2_rank(vectors):
+    """The rank over Z_2 of int bit vectors."""
+    basis = []  # each one's leading bit is clear in every later one
+    for x in vectors:
+        for b in basis:
+            x = min(x, x ^ b)  # clears b's leading bit in x
+        if x:
+            basis.append(x)
+    return len(basis)
+
+
+def _small_sums(fs, sizes):
+    """(mask, index tuple) of every sum of k essential members, for k in
+    sizes in order; the indices are into fs.essential_members()."""
+    members = [_char_to_mask(x) for x in fs.essential_members()]
+    for k in sizes:
+        for combo in itertools.combinations(range(len(members)), k):
+            total = 0
+            for i in combo:
+                total ^= members[i]
+            yield total, combo
+
+
 def decompose(m, fs):
     """The unique subset of {o_1..o_g, e_2..e_{g+2}} of size <= g summing to m.
 
     Returns the subset as a tuple of indices into fs.essential_members().
+    The sums of at most g essential members are 4^g distinct characteristics
+    (Mumford, Tata Lectures on Theta II), so m is found among them.
     """
-    members = fs.essential_members()
-    columns = [_char_to_mask(x) for x in members]
-    solved = _gf2_solve(columns, _char_to_mask(m))
-    if solved is None:
-        raise ValueError("characteristic does not decompose (system is degenerate)")
-    particular, kernel = solved
-    # The essential-basis property means the kernel is {0, all-ones}; the two
-    # solutions are complements, and exactly one has size <= g.
-    return _smallest_solution(particular, kernel, len(members))
-
-
-def _smallest_solution(particular, kernel, n):
-    best = None
-    for r in range(len(kernel) + 1):
-        for combo in itertools.combinations(kernel, r):
-            s = set(particular)
-            for gen in combo:
-                s ^= gen
-            if best is None or len(s) < len(best):
-                best = s
-    if len(best) > (n - 1) // 2:
-        raise ValueError("no representation of size <= g found")
-    return tuple(sorted(best))
+    if m.g != fs.g:
+        raise ValueError("genus mismatch")
+    target = _char_to_mask(m)
+    for mask, combo in _small_sums(fs, range(fs.g + 1)):
+        if mask == target:
+            return combo
+    raise ValueError("no representation of size <= g found")
 
 
 def is_essential_basis(members):
-    """True iff every characteristic has a unique odd-cardinality sum
-    representation through `members` (2g+1 characteristics of genus g)."""
+    """True iff members are 2g+1 characteristics of genus g through which
+    every characteristic is a sum of an odd number of members in exactly
+    one way.
+
+    Two odd subsets with the same sum differ by a nonempty even subset
+    summing to zero, so this holds iff the masks with a parity bit appended
+    are linearly independent over Z_2."""
+    if not members:
+        return False
     g = members[0].g
-    if len(members) != 2 * g + 1:
-        return False
-    columns = [_char_to_mask(x) for x in members]
-    solved = _gf2_solve(columns, 0)
-    if solved is None:
-        return False
-    _, kernel = solved
-    # need rank 2g, i.e. kernel dimension exactly 1, with odd-weight generator
-    if len(kernel) != 1:
-        return False
-    return len(kernel[0]) % 2 == 1
-
-
-def _sums_of_fewer_than_g_masks(fs):
-    """sums_of_fewer_than_g with the sums as masks."""
-    members = [_char_to_mask(x) for x in fs.essential_members()]
-    out = {}
-    for k in range(fs.g):
-        for combo in itertools.combinations(members, k):
-            total = 0
-            for x in combo:
-                total ^= x
-            out[total] = k
-    return out
+    if any(x.g != g for x in members):
+        raise ValueError("genus mismatch")
+    n = 2 * g + 1
+    return len(members) == n and _gf2_rank(
+        _char_to_mask(x) << 1 | 1 for x in members) == n
 
 
 def sums_of_fewer_than_g(fs):
     """Map m -> subset size, over all sums of k < g essential members."""
-    return {_mask_to_char(x, fs.g): k for x, k in _sums_of_fewer_than_g_masks(fs).items()}
+    return {_mask_to_char(x, fs.g): len(combo)
+            for x, combo in _small_sums(fs, range(fs.g))}
 
 
 def hyperelliptic_vanishing_set(g):
@@ -350,8 +290,8 @@ def hyperelliptic_vanishing_set(g):
     fs = special_fundamental_system(g)
     b = _char_to_mask(b_char(fs))
     out = set()
-    for x, k in _sums_of_fewer_than_g_masks(fs).items():
-        shifted = x ^ b
+    for x, combo in _small_sums(fs, range(g)):
+        shifted, k = x ^ b, len(combo)
         if ((shifted >> g) & shifted).bit_count() % 2 == 0:
             # cross-check against the mod-4 parity rule
             if k % 4 not in (g % 4, (g + 1) % 4):

@@ -300,7 +300,7 @@ def bind_symbols(t, l, tol=theta_mod.DEFAULT_TOL):
     characteristic with l leading (1,1) columns, at diagonal values t."""
     fs, phis, psis = [], [], []
     for a, ta in enumerate(t):
-        f, phi, psi = theta_mod.f_phi_psi(ta, odd=a < l, tol=tol)
+        f, phi, psi = theta_mod.f_phi_psi(ta, a < l, tol)
         if abs(f) < 1e-12:
             raise ValueError("f_%d vanishes at the given point" % (a + 1))
         fs.append(f)
@@ -309,16 +309,13 @@ def bind_symbols(t, l, tol=theta_mod.DEFAULT_TOL):
     return np.array(fs), np.array(phis), np.array(psis)
 
 
-def evaluate(pbp, t, offdiag, l, tol=theta_mod.DEFAULT_TOL, bound=None):
+def evaluate(pbp, t, offdiag, l, tol=theta_mod.DEFAULT_TOL):
     """Numeric value of the polynomial: tau variables from `offdiag`
     (a dict (a,b) -> complex with 1-based a < b), phi/psi symbols bound via
     genus-1 theta derivatives at t (columns 1..l odd, the rest even), and
     each term multiplied by its tracked power of 1/(2 pi i).
-
-    `bound` may carry a precomputed (f, phi, psi) triple to avoid
-    recomputation across ladder points.
     """
-    _, phis, psis = bind_symbols(t, l, tol=tol) if bound is None else bound
+    _, phis, psis = bind_symbols(t, l, tol=tol)
     total = 0j
     for (n, tau_mono, sym_mono), coeff in pbp.terms.items():
         value = complex(Fraction(coeff)) / TWO_PI_I**n
@@ -454,13 +451,12 @@ def _remainder_report(g, l, t, rng, lead, value, order, ladder, tol):
     ray from diag(t), for the normal-form characteristic m with l leading
     (1,1) columns; the remainder must vanish to order at least `order`."""
     m = normal_form(l, g)
-    bound = bind_symbols(t, l, tol=tol)
-    prod_f = np.prod(bound[0])
+    prod_f = np.prod(bind_symbols(t, l, tol=tol)[0])
     base = theta_mod.PeriodMatrix.diagonal(t)
     direction = random_offdiagonal_direction(g, rng)
 
     def target(tau):
-        model = prod_f * evaluate(lead, t, offdiag_of(tau.entries), l, bound=bound)
+        model = prod_f * evaluate(lead, t, offdiag_of(tau.entries), l, tol=tol)
         return value(m, tau) - model
 
     return vanishing_order(target, base, direction, ladder=ladder,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -24,13 +23,10 @@ from .chars import (
     EVEN,
     ODD,
     Characteristic,
-    _char_to_mask,
-    _mask_to_char,
     enumerate_characteristics,
     hyperelliptic_vanishing_set,
     scalar_class,
     special_fundamental_system,
-    b_char,
 )
 from .expand import (bind_symbols, bracket, default_ladder, evaluate, fit_slope,
                      normal_form, offdiag_of)
@@ -73,13 +69,19 @@ class LocusVerdict:
         }
 
 
-@functools.lru_cache(maxsize=8)
 def even_scale(tau, theta_tol=DEFAULT_TOL):
     """(max |theta_m(tau)| over even m, the reference scale for vanishing;
     every even theta constant at tau, as a read-only mapping).
 
     Memoised per period matrix object and theta_tol: PeriodMatrix entries
     are write-protected, and the cache holds tau, so its id is not reused."""
+    return _even_scale(tau, theta_tol)
+
+
+@functools.lru_cache(maxsize=8)
+def _even_scale(tau, theta_tol):
+    """even_scale, cached on positional arguments only, so a default and an
+    explicit theta_tol share one entry."""
     evens = enumerate_characteristics(tau.g, parity_filter=EVEN)
     values = theta_constants_batch(tau, evens, tol=theta_tol)
     return max(abs(v) for v in values.values()), MappingProxyType(values)
@@ -138,24 +140,15 @@ def thetanull_rank_class(tau, m, tol=DEFAULT_VANISH_TOL, rank_rel_tol=1e-7,
 def hyperelliptic_vanishing_test(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
     """True iff every theta constant indexed by the standard hyperelliptic
     vanishing set vanishes relative to the even scale.  The witness also
-    records the constants for sums of exactly g members, whose
-    non-vanishing is not required."""
-    g = tau.g
-    required = sorted(hyperelliptic_vanishing_set(g), key=Characteristic.compact)
+    records every other even constant, whose non-vanishing is not required:
+    each characteristic is a sum of at most g essential members in exactly
+    one way, so these are the even shifts by b^g of sums of exactly g."""
+    vanishing = hyperelliptic_vanishing_set(tau.g)
+    required = sorted(vanishing, key=Characteristic.compact)
     scale, values = even_scale(tau, theta_tol)
     witness, verdict = _vanishing_witness(values, required, scale, tol,
                                           ("required", True))
-    # informational part: the even shifts of sums of exactly g members
-    fs = special_fundamental_system(g)
-    b = _char_to_mask(b_char(fs))
-    members = [_char_to_mask(x) for x in fs.essential_members()]
-    extra = set()
-    for combo in itertools.combinations(members, g):
-        shifted = functools.reduce(operator.xor, combo, b)
-        if ((shifted >> g) & shifted).bit_count() % 2 == 0:
-            extra.add(shifted)
-    # mask order is the compact-string order
-    extra = [_mask_to_char(x, g) for x in sorted(extra)]
+    extra = [m for m in values if m not in vanishing]  # batch order: compact order
     witness += _vanishing_witness(values, extra, scale, tol, ("required", False))[0]
     return LocusVerdict("hyperelliptic_vanishing", _digest(tau), witness, tol, verdict)
 
@@ -492,7 +485,6 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
         # the *total* tau_jk-derivative of the determinant at the
         # theta-null point is proportional to the vanishing null residual
         # and is of higher order; the module verifies the stated route.
-        bound = (fs, phis, psis)
         for j in range(4, g + 1):
             for k in range(j + 1, g + 1):
                 pol = bracket([j, k, 1, 2], g)
@@ -511,7 +503,7 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
                     for sgn in (1.0, -1.0):
                         off = offdiag_of(tau.entries)
                         off[(j, k)] = off.get((j, k), 0j) + sgn * h
-                        vals.append(evaluate(pol, t, off, 2, bound=bound))
+                        vals.append(evaluate(pol, t, off, 2, tol=theta_tol))
                     db = (vals[0] - vals[1]) / (2 * h)
                     derivs.append(phis[j - 1] * phis[k - 1] * db * d123)
                     tau13 = tau.entries[0, 2]

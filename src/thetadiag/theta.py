@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -366,12 +366,17 @@ def genus1_derivatives(m1, t, orders, tol=DEFAULT_TOL):
     return eval_theta_many(m1, tau, [(k,) for k in orders], tol=tol, max_order=5)
 
 
+@lru_cache(maxsize=128)
 def f_phi_psi(t, odd, tol=DEFAULT_TOL):
     """The triple (f, phi, psi) at the genus-1 point t.
 
     For an odd column f = theta'[1;1](t), phi = theta'''/theta',
     psi = theta''''' / theta' - phi^2; for an even column f = theta[0;0](t),
     phi = theta''/theta, psi = theta''''/theta - phi^2.
+
+    Memoised: drawing a diagonal computes the triples that binding the
+    symbols at it reads again.  Call it as f_phi_psi(t, odd, tol), all
+    positional, so that every caller shares one cache entry.
     """
     if odd:
         d1, d3, d5 = genus1_derivatives(_ODD1, t, (1, 3, 5), tol=tol)
@@ -394,7 +399,7 @@ def sample_generic_diagonal(g, l, rng, tol=DEFAULT_TOL, max_tries=200):
         odd = a < l
         for _ in range(max_tries):
             cand = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
-            _, phi, psi = f_phi_psi(cand, odd, tol=tol)
+            _, phi, psi = f_phi_psi(cand, odd, tol)
             if (
                 abs(psi - 2 * phi**2) > GENERICITY_FLOOR
                 and abs(4 * phi**2 - psi) > GENERICITY_FLOOR

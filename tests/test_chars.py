@@ -1,6 +1,7 @@
 """Exact combinatorics: parities, counts, fundamental systems, vanishing sets."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -51,6 +52,24 @@ def reference_enumeration(g, parity_filter=None, class_filter=None):
                 continue
             out.append(m)
     return out
+
+
+def odd_sums_distinct(members):
+    """The definition of an essential basis, by brute force: 2g+1 members of
+    genus g whose sums over odd-size subsets are pairwise distinct."""
+    g = members[0].g
+    if len(members) != 2 * g + 1:
+        return False
+    seen = set()
+    for k in range(1, len(members) + 1, 2):
+        for combo in itertools.combinations(members, k):
+            total = Characteristic.zero(g)
+            for m in combo:
+                total = total + m
+            if total in seen:
+                return False
+            seen.add(total)
+    return True
 
 
 class TestCharacteristic:
@@ -177,11 +196,40 @@ class TestFundamentalSystem:
     def test_essential_basis_rejects_wrong_size(self):
         members = special_fundamental_system(3).members()
         assert not is_essential_basis(members[:6])
+        assert not is_essential_basis([])
+
+    def test_essential_basis_genus_mismatch(self):
+        members = special_fundamental_system(3).essential_members()[:6]
+        with pytest.raises(ValueError, match="genus mismatch"):
+            is_essential_basis(members + (Characteristic.zero(2),))
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_essential_basis_matches_odd_sum_oracle(self, g):
+        # seeded lists of 2g+1 members: valid bases, repeated members, and
+        # members with a nonempty even subset summing to zero
+        rng = random.Random(g)
+        pool = enumerate_characteristics(g)
+        basis = special_fundamental_system(g).essential_members()
+        cases = [list(basis)]
+        for _ in range(60):
+            members = rng.sample(pool, 2 * g + 1)
+            cases.append(members)
+            repeated = list(members)
+            repeated[rng.randrange(2 * g + 1)] = rng.choice(members)
+            cases.append(repeated)
+            if g > 1:
+                dependent = list(members)  # the last four sum to zero
+                a, b, c = rng.sample(pool, 3)
+                dependent[-4:] = [a, b, c, a + b + c]
+                cases.append(dependent)
+        verdicts = [is_essential_basis(members) for members in cases]
+        assert verdicts == [odd_sums_distinct(members) for members in cases]
+        assert any(verdicts) and not all(verdicts)
 
     def test_b3(self):
         assert b_char(special_fundamental_system(3)).compact() == "[111;101]"
 
-    @pytest.mark.parametrize("g", (2, 3, 4))
+    @pytest.mark.parametrize("g", (1, 2, 3, 4, 5))
     def test_decompose_roundtrip(self, g):
         fs = special_fundamental_system(g)
         members = fs.essential_members()
@@ -192,6 +240,12 @@ class TestFundamentalSystem:
             for i in idx:
                 total = total + members[i]
             assert total == m
+
+    def test_decompose_genus_mismatch(self):
+        fs = special_fundamental_system(3)
+        for m in (Characteristic.zero(2), Characteristic.parse("[10;01]")):
+            with pytest.raises(ValueError, match="genus mismatch"):
+                decompose(m, fs)
 
 
 class TestHyperellipticVanishing:

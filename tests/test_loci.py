@@ -271,6 +271,24 @@ class TestEvenScaleMemo:
         rows = [dict(w) for w in hyperelliptic_vanishing_test(tau).witness]
         extra = [r["characteristic"] for r in rows if not r["required"]]
         assert extra == [m.compact() for m in _exact_g_sums_oracle(g)]
+        # required and informational rows partition the even characteristics
+        evens = enumerate_characteristics(g, parity_filter=EVEN)
+        assert sorted(r["characteristic"] for r in rows) == \
+            sorted(m.compact() for m in evens)
+
+    def test_default_and_explicit_theta_tol_share_one_batch(self, monkeypatch):
+        calls = []
+
+        def counting(tau, characteristics, tol):
+            calls.append(tol)
+            return theta_constants_batch(tau, characteristics, tol=tol)
+
+        monkeypatch.setattr(loci, "theta_constants_batch", counting)
+        tau = PeriodMatrix.diagonal([1j, 1.05j, 1.25j])
+        first = even_scale(tau)
+        assert even_scale(tau, theta.DEFAULT_TOL) is first
+        assert even_scale(tau, theta_tol=theta.DEFAULT_TOL) is first
+        assert calls == [theta.DEFAULT_TOL]
 
 
 class TestRemarkHpo:
