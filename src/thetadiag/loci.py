@@ -28,16 +28,15 @@ from .chars import (
     scalar_class,
     special_fundamental_system,
 )
-from .expand import (bind_symbols, bracket, default_ladder, evaluate, fit_slope,
-                     normal_form, offdiag_of)
+from .expand import bind_symbols, default_ladder, fit_slope, normal_form
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
+    _tau_index,
     _value_and_hessian,
-    eval_theta_many,
     gradient,
     numerical_rank,
-    tau_gradient,
+    tau_jet,
     theta_constants_batch,
 )
 
@@ -190,19 +189,17 @@ def tridiagonal_tangent_check(g, t, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TO
     if not 3 <= g <= 5:
         raise ValueError("need 3 <= g <= 5")
     fs = special_fundamental_system(g)
-    tau = PeriodMatrix.diagonal(t)
-    pairs = [(a, b) for a in range(g) for b in range(a, g)]
-    rows = []
+    triples = list(itertools.combinations(range(1, g + 1), 3))
+    chars = [fs.odds[j1 - 1] + fs.odds[j2 - 1] + fs.odds[j3 - 1]
+             for j1, j2, j3 in triples]
+    _, grads = tau_jet(PeriodMatrix.diagonal(t), chars, theta_tol)
     witness = []
     per_triple = True
-    for j1, j2, j3 in itertools.combinations(range(1, g + 1), 3):
-        m = fs.odds[j1 - 1] + fs.odds[j2 - 1] + fs.odds[j3 - 1]
-        grad = tau_gradient(m, tau, tol=theta_tol)
-        off = np.abs(grad.copy())
+    for (j1, j2, j3), m, grad in zip(triples, chars, grads):
+        off = np.abs(grad)
         scale = off.max()
         expected = off[j1 - 1, j3 - 1]
-        off[j1 - 1, j3 - 1] = 0.0
-        off[j3 - 1, j1 - 1] = 0.0
+        off[j1 - 1, j3 - 1] = off[j3 - 1, j1 - 1] = 0.0
         spurious = off.max()
         ok = expected > tol * scale and spurious < tol * scale
         per_triple = per_triple and ok
@@ -211,9 +208,8 @@ def tridiagonal_tangent_check(g, t, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TO
              ("support_entry", (j1, j3)), ("support_abs", float(expected)),
              ("max_spurious_abs", float(spurious)), ("pass", ok))
         )
-        rows.append([grad[a, b] for a, b in pairs])
-    rows = np.array(rows)
-    kernel_dim = len(pairs) - numerical_rank(rows, rel_tol=1e-7)
+    rows, cols = zip(*((a, b) for a in range(g) for b in range(a, g)))
+    kernel_dim = len(rows) - numerical_rank(grads[:, rows, cols], rel_tol=1e-7)
     return TridiagonalReport(
         g=g,
         witness=tuple(witness),
@@ -379,28 +375,38 @@ def _slice_z_tau(t, weights, eps, tau12):
     return PeriodMatrix(tau)
 
 
-def impose_thetanull(m, t, weights, eps, phis, theta_tol=DEFAULT_TOL,
-                     max_iter=40):
-    """Solve theta_m = 0 for tau_12 on the slice Z by Newton iteration, seeded
-    from the expansion's leading term; d theta_m/d tau_12 = U d_z1 d_z2 theta_m."""
-    tau12 = -U * sum(
-        phis[j - 1] * (weights[j - 1] * eps) ** 2 for j in range(3, len(t) + 1)
-    )
-    jet = [(0,) * m.g, (1, 1) + (0,) * (m.g - 2)]  # theta_m, d_z1 d_z2 theta_m
-    for _ in range(max_iter):
-        tau = _slice_z_tau(t, weights, eps, tau12)
-        value, second = eval_theta_many(m, tau, jet, tol=theta_tol)
-        if abs(value) < 1e-13:
-            return tau
-        tau12 = tau12 - value / (U * second)
-    raise ValueError("theta-null imposition did not converge")
+NEWTON_MAX_PASSES = 40
 
 
-def _normalized_tau_gradient(m, tau, prod_f, theta_tol):
-    """The tau-derivative matrix scaled by 2 pi i / prod(f): equivalently
-    the z-Hessian with halved diagonal, normalized so the (1,2) entry is
-    1 + O(eps^2) at the diagonal."""
-    return tau_gradient(m, tau, tol=theta_tol) * (2j * np.pi) / prod_f
+def newton_onto(chars, tau, coords, theta_tol=DEFAULT_TOL):
+    """Gauss-Newton toward theta_m = 0 for all m of chars: minimum-norm lstsq
+    steps in the 1-based coordinates (j, k) of coords alone, one tau_jet pass
+    each, until all |theta_m| < theta_tol, the pass's certified error; returns
+    (tau, gradients at tau, passes).  ValueError after NEWTON_MAX_PASSES."""
+    rows, cols = _tau_index(tau.g, coords)
+    for passes in range(1, NEWTON_MAX_PASSES + 1):
+        values, grads = tau_jet(tau, chars, theta_tol)
+        if np.abs(values).max() < theta_tol:
+            return tau, grads, passes
+        # lstsq of the real form: the same step, by the real routine polyfit loads
+        jac = grads[:, rows, cols]
+        real = np.block([[jac.real, -jac.imag], [jac.imag, jac.real]])
+        x = np.linalg.lstsq(real, -np.concatenate([values.real, values.imag]), rcond=None)[0]
+        entries = tau.entries.copy()
+        entries[rows, cols] += x[:len(rows)] + 1j * x[len(rows):]
+        entries[cols, rows] = entries[rows, cols]
+        tau = PeriodMatrix(entries)
+    raise ValueError("theta-null solve did not converge in %d passes" % NEWTON_MAX_PASSES)
+
+
+def impose_thetanull(m, t, weights, eps, phis, theta_tol=DEFAULT_TOL):
+    """(tau, d theta_m / d tau at tau): tau on the slice Z with theta_m = 0,
+    solved for tau_12 by newton_onto from the expansion's leading term."""
+    tau12 = -U * sum(phis[j - 1] * (weights[j - 1] * eps) ** 2
+                     for j in range(3, len(t) + 1))
+    tau, grads, _ = newton_onto([m], _slice_z_tau(t, weights, eps, tau12), [(1, 2)],
+                                theta_tol)
+    return tau, grads[0]
 
 
 MINOR_CHECKS = ("D123", "D12jj", "D12jk")
@@ -433,8 +439,8 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
     prod_f = np.prod(fs)
     weights = _random_weights(rng, g)
     if ladder is None:
-        # the D12jk finite difference needs signal above the determinant's
-        # floating-point floor, so its ladder stays at larger epsilon
+        # D12jk keeps the ladder 2^-4..2^-7 of its recorded reports; the
+        # default ladder passes as well
         ladder = (
             [2.0**-k for k in range(4, 8)] if which == "D12jk" else default_ladder()
         )
@@ -447,8 +453,8 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
         js = range(len(lead) + 1, g + 1)
         minors = {j: [] for j in js}
         for eps in ladder:
-            tau = impose_thetanull(m, t, weights, eps, phis, theta_tol)
-            M = _normalized_tau_gradient(m, tau, prod_f, theta_tol)
+            _, grad = impose_thetanull(m, t, weights, eps, phis, theta_tol)
+            M = grad * (2j * np.pi) / prod_f  # (1,2) entry 1 + O(eps^2)
             for j in js:
                 idx = lead + [j - 1]
                 minors[j].append(np.linalg.det(M[np.ix_(idx, idx)]))
@@ -475,8 +481,9 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
     else:  # D12jk
         # The tau_jk-dependence of the minor with rows (1,2,3,j) and
         # columns (1,2,3,k), expanded along the last row, enters through
-        # the bracket [j,k,1,2] of the (j,k) entry, whose tau_jk
-        # coefficient is u^2 tau_12; with the theta-null value of tau_12
+        # the bracket [j,k,1,2] = u^2 (tau_jk tau_12 + tau_1j tau_2k +
+        # tau_2j tau_1k) of the (j,k) entry, exactly linear in tau_jk with
+        # coefficient u^2 tau_12; with the theta-null value of tau_12
         # this contribution is phi_j phi_k u^2 tau_12 * D123, of order 4.
         #
         # Note: this is the dependence through the leading bracket only.
@@ -487,7 +494,6 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
         # and is of higher order; the module verifies the stated route.
         for j in range(4, g + 1):
             for k in range(j + 1, g + 1):
-                pol = bracket([j, k, 1, 2], g)
                 derivs = []
                 expected_vals = []
                 for eps in ladder:
@@ -495,18 +501,10 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
                     # force tau_1j = O(eps^2) for j >= 4
                     wq = weights.copy()
                     wq[3:] *= eps
-                    tau = impose_thetanull(m, t, wq, eps, phis, theta_tol)
-                    M = _normalized_tau_gradient(m, tau, prod_f, theta_tol)
-                    d123 = np.linalg.det(M[:3, :3])
-                    h = 1e-3 * eps
-                    vals = []
-                    for sgn in (1.0, -1.0):
-                        off = offdiag_of(tau.entries)
-                        off[(j, k)] = off.get((j, k), 0j) + sgn * h
-                        vals.append(evaluate(pol, t, off, 2, tol=theta_tol))
-                    db = (vals[0] - vals[1]) / (2 * h)
-                    derivs.append(phis[j - 1] * phis[k - 1] * db * d123)
-                    tau13 = tau.entries[0, 2]
+                    tau, grad = impose_thetanull(m, t, wq, eps, phis, theta_tol)
+                    d123 = np.linalg.det(grad[:3, :3] * (2j * np.pi) / prod_f)
+                    tau12, tau13 = tau.entries[0, 1:3]
+                    derivs.append(phis[j - 1] * phis[k - 1] * U**2 * tau12 * d123)
                     expected_vals.append(
                         -phis[j - 1] * phis[k - 1] * phis[2] * U**3 * tau13**2 * d123
                     )

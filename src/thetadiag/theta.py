@@ -19,7 +19,7 @@ alpha the monomial q ** alpha, read off a table of powers.  One delta meets
 the real monomials in two real products; several meet the phases after
 the monomials in one complex product (an N x (D K) weight matrix is
 slower).  z-derivatives are term-wise derivatives of the series, never
-finite differences; tau derivatives come from the heat equation.
+finite differences; tau derivatives come from the heat equation, in tau_jet.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -197,15 +198,15 @@ def _phases(q, deltas):
 
 
 def _monomials(q, alphas):
-    """q ** alpha for rows q and multi-indices alpha, as N x K, from a power
-    table built by repeated multiplication; one K x N product per axis."""
-    powers = np.empty((int(alphas.max(initial=0)) + 1,) + q.T.shape)
-    powers[0] = 1.0
-    for k in range(1, len(powers)):
-        powers[k] = powers[k - 1] * q.T
-    product = powers[:, 0][alphas[:, 0]]
-    for a in range(1, q.shape[1]):
-        product *= powers[:, a][alphas[:, a]]
+    """q ** alpha for rows q and multi-indices alpha, as N x K: row by row, in
+    place, the product over the axes a with alpha_a >= 1 of q_a ** alpha_a."""
+    top = int(alphas.max(initial=0))
+    powers = list(accumulate([q.T] * top, np.multiply))  # q, q * q, ... up to q ** top
+    product = np.ones((len(alphas), len(q)))
+    for row, alpha in zip(product, alphas.tolist()):
+        for a, k in enumerate(alpha):
+            if k:
+                row *= powers[k - 1][a]
     return product.T
 
 
@@ -323,22 +324,33 @@ def _value_and_hessian(m, tau, tol=DEFAULT_TOL):
     return value, _symmetric(g, second)
 
 
-def tau_derivative(m, tau, pair, tol=DEFAULT_TOL):
-    """d theta_m / d tau_{jk} at z=0 via the heat equation:
-    (1/4pii) d^2_{z_j} for j=k, (1/2pii) d_{z_j} d_{z_k} for j != k.
-    The pair is 1-based."""
-    j, k = pair
-    second = eval_theta(m, tau, deriv=_unit(m.g, j - 1, k - 1), tol=tol)
-    if j == k:
-        return second / (4j * np.pi)
-    return second / (2j * np.pi)
+def tau_jet(tau, chars, tol=DEFAULT_TOL):
+    """(values, gradients): theta_m at z=0 for each m of chars and its
+    tau-gradient as a symmetric g x g array, from one lattice pass per eps.
+    The heat equation gives d theta / d tau_jk = c_jk d_{z_j} d_{z_k} theta,
+    c = 1/(4pii) for j=k and 1/(2pii) for the one coordinate tau_jk = tau_kj."""
+    chars, g = list(chars), tau.g
+    jet = _jet(tau, chars, [(0,) * g] + _second_order(g), None, tol, 2)
+    heat = np.where(np.eye(g, dtype=bool), 4j * np.pi, 2j * np.pi)
+    return jet[:, 0], np.array([_symmetric(g, row) for row in jet[:, 1:]]) / heat
+
+
+def _tau_index(g, pairs):
+    """0-based (rows, cols) of 1-based pairs (j, k); ValueError unless 1 <= j, k <= g."""
+    if not all(1 <= int(j) <= g and 1 <= int(k) <= g for j, k in pairs):
+        raise ValueError("tau coordinates %r out of range 1..%d" % (pairs, g))
+    return (np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1).T
 
 
 def tau_gradient(m, tau, tol=DEFAULT_TOL):
-    """All d theta_m / d tau_{jk}, j <= k, as a symmetric g x g array: the
-    z-Hessian rescaled by the heat equation (see tau_derivative)."""
-    diagonal = np.eye(m.g, dtype=bool)
-    return hessian(m, tau, tol=tol) / np.where(diagonal, 4j * np.pi, 2j * np.pi)
+    """All d theta_m / d tau_jk at z=0, as a symmetric g x g array (tau_jet)."""
+    return tau_jet(tau, [m], tol)[1][0]
+
+
+def tau_derivative(m, tau, pair, tol=DEFAULT_TOL):
+    """d theta_m / d tau_jk at z=0 for the 1-based pair (j, k)."""
+    j, k = _tau_index(m.g, [pair])[:, 0]
+    return complex(tau_gradient(m, tau, tol=tol)[j, k])
 
 
 def numerical_rank(matrix, rel_tol=1e-7):

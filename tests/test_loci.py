@@ -11,6 +11,7 @@ from thetadiag.chars import (
     Characteristic,
     b_char,
     enumerate_characteristics,
+    hyperelliptic_vanishing_set,
     is_even,
     special_fundamental_system,
 )
@@ -24,13 +25,16 @@ from thetadiag.loci import (
     is_diagonal_orbit,
     is_product_orbit,
     minor_identity_check,
+    newton_onto,
     thetanull_rank_class,
     tridiagonal_tangent_check,
 )
 from thetadiag.theta import (
     PeriodMatrix,
     eval_theta,
+    numerical_rank,
     sample_generic_diagonal,
+    tau_gradient,
     theta_constants_batch,
 )
 
@@ -386,8 +390,8 @@ class TestMinorIdentities:
         assert len(result.slope_reports) == 2  # j = 4, 5
 
     def test_impose_thetanull_sums_one_lattice_per_iteration(self, monkeypatch):
-        # each Newton iteration builds one slice point and reads theta and
-        # its tau_12 derivative from one lattice pass at it
+        # each Newton iteration reads theta and its tau-gradient from one
+        # tau_jet call, which sums one lattice
         counts = {"iterations": 0, "passes": 0}
 
         def counting(name, fn):
@@ -396,7 +400,7 @@ class TestMinorIdentities:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(loci, "_slice_z_tau", counting("iterations", loci._slice_z_tau))
+        monkeypatch.setattr(loci, "tau_jet", counting("iterations", loci.tau_jet))
         monkeypatch.setattr(theta, "_ellipsoid_points",
                             counting("passes", theta._ellipsoid_points))
         g = 5
@@ -416,5 +420,45 @@ class TestMinorIdentities:
         weights = rng.uniform(0.5, 1.0, size=g) * np.exp(
             1j * rng.uniform(0, 2 * np.pi, size=g)
         )
-        tau = impose_thetanull(_m0(g), t, weights, 2.0**-5, phis, 1e-13)
+        tau, grad = impose_thetanull(_m0(g), t, weights, 2.0**-5, phis, 1e-13)
         assert abs(eval_theta(_m0(g), tau, tol=1e-13)) < 1e-12
+        # the gradient is the one at the solution, from the solve's last pass
+        np.testing.assert_allclose(grad, tau_gradient(_m0(g), tau, tol=1e-13),
+                                   rtol=0, atol=1e-13)
+
+
+class TestNewtonOnto:
+    def test_hyperelliptic_graph_g4(self):
+        # the vanishing set's constants solved for the entries tau_jk with
+        # k >= j + 2, from diag(t) plus eps * w on the first off-diagonal
+        g, tol = 4, 1e-12
+        rng = np.random.default_rng(50)
+        start = np.diag(np.asarray(sample_generic_diagonal(g, 0, rng), dtype=complex))
+        for a in range(g - 1):
+            w = rng.uniform(0.5, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            start[a, a + 1] = start[a + 1, a] = 2.0**-4 * w
+        coords = [(j, k) for j in range(1, g + 1) for k in range(j + 2, g + 1)]
+        chars = sorted(hyperelliptic_vanishing_set(g), key=Characteristic.compact)
+        tau, grads, passes = newton_onto(chars, PeriodMatrix(start), coords, tol)
+        assert passes <= 5
+        values = theta_constants_batch(tau, chars, tol=tol)
+        assert max(abs(v) for v in values.values()) < tol
+        moved = np.zeros((g, g), dtype=bool)
+        for j, k in coords:
+            moved[j - 1, k - 1] = moved[k - 1, j - 1] = True
+        assert tau.entries[~moved].tobytes() == start[~moved].tobytes()
+        rows, cols = np.array(coords).T - 1
+        jacobian = grads[:, rows, cols]
+        assert jacobian.shape == (10, 3)
+        assert numerical_rank(jacobian) == 3
+
+    @pytest.mark.parametrize("coords", [[(0, 1)], [(1, 2), (5, 1)]])
+    def test_coords_out_of_range(self, coords):
+        with pytest.raises(ValueError, match="out of range"):
+            newton_onto([_m0(4)], PeriodMatrix.diagonal([1j] * 4), coords)
+
+    def test_pass_cap(self, monkeypatch):
+        monkeypatch.setattr(loci, "NEWTON_MAX_PASSES", 1)
+        tau = PeriodMatrix([[1j, 0.1], [0.1, 1.2j]])
+        with pytest.raises(ValueError, match="did not converge in 1 passes"):
+            newton_onto([_m0(2)], tau, [(1, 2)])

@@ -14,6 +14,7 @@ import pytest
 
 from thetadiag.chars import EVEN, ODD, Characteristic, enumerate_characteristics
 from thetadiag.theta import (
+    DEFAULT_TOL,
     MAX_DERIV_ORDER,
     MAX_NUMERIC_GENUS,
     MAX_POINTS,
@@ -31,6 +32,7 @@ from thetadiag.theta import (
     sample_generic_diagonal,
     tau_derivative,
     tau_gradient,
+    tau_jet,
     theta_constants_batch,
 )
 
@@ -77,6 +79,20 @@ def phase_oracle(q, deltas):
 def monomial_oracle(q, alphas):
     """The monomials q ** alpha through libm pow, one per coordinate."""
     return np.prod(q[:, None, :] ** alphas, axis=2)
+
+
+def gathered_monomials(q, alphas):
+    """The monomials from one K x N gather of a power table per axis: the
+    same multiplications in the same order as _monomials, which only skips
+    the exact products by 1, so the two agree bit for bit."""
+    powers = np.empty((int(alphas.max(initial=0)) + 1,) + q.T.shape)
+    powers[0] = 1.0
+    for k in range(1, len(powers)):
+        powers[k] = powers[k - 1] * q.T
+    product = powers[:, 0][alphas[:, 0]]
+    for a in range(1, q.shape[1]):
+        product *= powers[:, a][alphas[:, a]]
+    return product.T
 
 
 def shifted_points(g, eps, rng, size=200):
@@ -335,6 +351,30 @@ class TestDerivatives:
             for k in range(j, 4):
                 assert abs(grad[j - 1, k - 1] - tau_derivative(m, tau, (j, k))) < 1e-12
 
+    @pytest.mark.parametrize("pair", [(0, 1), (4, 1), (1, 0), (1, 4)])
+    def test_tau_derivative_rejects_pair_out_of_range(self, pair):
+        # (0, 1) would otherwise wrap round to the last row
+        tau = _random_tau(3, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="out of range"):
+            tau_derivative(Characteristic.parse("[110;110]"), tau, pair)
+
+    @pytest.mark.parametrize("g", (2, 3, 4, 5))
+    def test_tau_jet_matches_independent_paths(self, g):
+        # three deltas share each of two eps (the phase path) and one eps
+        # stands alone (the real path)
+        tau = _random_tau(g, np.random.default_rng(g + 60))
+        deltas = [(0,) * g, (1,) + (0,) * (g - 1), (1,) * g]
+        chars = [Characteristic(eps, delta)
+                 for eps in [(1,) + (0,) * (g - 1), (1,) * g] for delta in deltas]
+        chars.append(Characteristic((0,) * (g - 1) + (1,), (0,) * g))
+        values, grads = tau_jet(tau, chars)
+        assert values.shape == (len(chars),) and grads.shape == (len(chars), g, g)
+        heat = np.where(np.eye(g, dtype=bool), 4j * np.pi, 2j * np.pi)
+        for m, value, grad in zip(chars, values, grads):
+            assert abs(value - eval_theta(m, tau)) < 2 * DEFAULT_TOL
+            np.testing.assert_allclose(grad, hessian(m, tau) / heat,
+                                       rtol=0, atol=2 * DEFAULT_TOL)
+
 
 class TestBatchAndBounds:
     def test_batch_matches_single_evaluations(self):
@@ -376,6 +416,8 @@ class TestBatchAndBounds:
             q = shifted_points(g, eps, rng)
             np.testing.assert_allclose(_monomials(q, alphas), monomial_oracle(q, alphas),
                                        rtol=1e-13, atol=0)
+            np.testing.assert_array_equal(_monomials(q, alphas),
+                                          gathered_monomials(q, alphas))
 
     def test_eval_theta_many(self):
         tau = _random_tau(2, np.random.default_rng(10))
