@@ -107,24 +107,27 @@ def is_diagonal_orbit(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
 
 
 def is_product_orbit(tau, g1, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
-    """True iff theta vanishes for every characteristic that splits as
-    odd (genus g1) plus odd (genus g - g1)."""
+    """True iff theta vanishes at every characteristic odd on the columns of
+    the first factor and odd on the others: columns 1..g1 for a whole number
+    g1, or the 1-based columns in a tuple g1 ((2,) splits off column 2)."""
     g = tau.g
-    if not 0 < g1 < g:
-        raise ValueError("need 0 < g1 < g")
-    odd1 = enumerate_characteristics(g1, parity_filter=ODD)
-    odd2 = enumerate_characteristics(g - g1, parity_filter=ODD)
-    chars = [
-        Characteristic(m1.eps + m2.eps, m1.delta + m2.delta)
-        for m1 in odd1
-        for m2 in odd2
-    ]
-    # odd (genus g1) plus odd (genus g - g1) is even
+    first = tuple(range(1, g1 + 1)) if isinstance(g1, int) else tuple(sorted(g1))
+    rest = tuple(c for c in range(1, g + 1) if c not in first)
+    if not (first and rest) or sorted(first + rest) != list(range(1, g + 1)):
+        raise ValueError("need a proper nonempty set of distinct columns in 1..%d" % g)
+    where = np.argsort(first + rest)  # column c is entry where[c - 1] of m1 joined to m2
+    odd2 = enumerate_characteristics(len(rest), parity_filter=ODD)
+    chars = [Characteristic(tuple(np.take(m1.eps + m2.eps, where).tolist()),
+                            tuple(np.take(m1.delta + m2.delta, where).tolist()))
+             for m1 in enumerate_characteristics(len(first), parity_filter=ODD)
+             for m2 in odd2]
+    # odd on one factor plus odd on the other is even
     scale, values = even_scale(tau, theta_tol)
     witness, verdict = _vanishing_witness(values, chars, scale, tol)
-    return LocusVerdict(
-        "product_orbit_%d_%d" % (g1, g - g1), _digest(tau), witness, tol, verdict
-    )
+    split = "%d_%d" % (len(first), len(rest))
+    if first != tuple(range(1, len(first) + 1)):
+        split = "_".join("".join(map(str, cols)) for cols in (first, rest))
+    return LocusVerdict("product_orbit_" + split, _digest(tau), witness, tol, verdict)
 
 
 def thetanull_rank_class(tau, m, tol=DEFAULT_VANISH_TOL, rank_rel_tol=1e-7,

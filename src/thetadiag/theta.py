@@ -12,14 +12,13 @@ order and of Im z, is below the requested tolerance (_ellipsoid_radius);
 a sum needing more than MAX_POINTS points raises ValueError before they
 are allocated.  One kernel, _jet, sums for every entry point, after
 reducing Re z mod 2 (theta(z + 2n) = theta(z) for n in Z^g, exactly).
-Its pass per eps serves every delta and derivative multi-index: the first
-delta enters the exponent, each other one the phase
-exp(pi i q . (delta - delta_0)), an exact quarter turn, and a multi-index
-alpha the monomial q ** alpha, read off a table of powers.  One delta meets
-the real monomials in two real products; several meet the phases after
-the monomials in one complex product (an N x (D K) weight matrix is
-slower).  z-derivatives are term-wise derivatives of the series, never
-finite differences; tau derivatives come from the heat equation, in tau_jet.
+Its pass per eps sums one point of each pair +-q; the term of -q is that
+of q with z and delta negated, times (-1) ** |alpha| (at z = 0 just
+(-1) ** (eps . delta + |alpha|)).  The first delta enters the exponent,
+each other one is read off 2^g bins of n = q - eps/2 mod 2 through the
+exact phase i ** (eps . delta) (-1) ** (n . delta), and a multi-index alpha
+through a table of powers.  z-derivatives are term-wise derivatives of the
+series; tau derivatives come from the heat equation, in tau_jet.
 """
 
 from __future__ import annotations
@@ -31,12 +30,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .chars import Characteristic
+from .chars import Characteristic, scalar_class
 
 DEFAULT_TOL = 1e-10
 MIN_TOL = 1e-14
 # Largest lattice sum, in points: a g=5 Hessian near this size peaks at
-# ~160 MB, while no test or benchmark job sums more than ~16,000.
+# ~22 MB traced, while no test or benchmark job sums more than ~16,000.
 MAX_POINTS = 200_000
 MAX_NUMERIC_GENUS = 5
 MAX_DERIV_ORDER = 4
@@ -146,55 +145,69 @@ def _ellipsoid_radius(tau, ynorm, order, tol):
             raise ValueError("tolerance %g unreachable (|Im z| = %g)" % (tol, ynorm))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if certified(mid):
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if certified(mid) else (mid, hi)
     return hi
 
 
 def _ellipsoid_points(tau, shift, radius):
-    """The points q of shift + Z^g with q^t (Im tau) q <= radius^2, as rows.
+    """(rows, zero): the points q of shift + Z^g (2 shift integral) with
+    q^t (Im tau) q <= radius^2, one of each pair +-q (the one whose last
+    nonzero coordinate is positive), and the row of q = 0 or None.
 
     Fincke-Pohst, vectorised: with Im tau = U^t U (U upper triangular),
     q^t (Im tau) q = sum_i U_ii^2 (q_i - c_i)^2 where c_i depends only on
     q_{i+1}, ..., q_{g-1}.  The coordinates are fixed from the last one
     down; each layer extends every partial point by the whole interval of
-    q_i that what is left of radius^2 allows.  A layer is counted before it
-    is allocated, and ValueError is raised if it would exceed MAX_POINTS.
+    q_i that what is left of radius^2 allows (q_i >= 0 for the one still
+    all 0); negation mirrors each interval exactly in floating point, so
+    the rows and their negatives are the whole ellipsoid.  A layer whose
+    points (two per row, one for q = 0) exceed MAX_POINTS raises ValueError
+    before it is allocated.
     """
     g = tau.g
     u = tau._cholesky.T
     q = np.zeros((1, g))
+    zero = 0  # the row whose coordinates so far are all 0, or None
     # a hair beyond the radius, so rounding cannot drop a point inside it
     remaining = np.array([(radius + 1e-9) ** 2])
+    center = np.zeros(1)
     for i in range(g - 1, -1, -1):
-        center = -(q[:, i + 1:] @ u[i, i + 1:]) / u[i, i]
         half = np.sqrt(np.maximum(remaining, 0.0)) / u[i, i]
         # q_i = shift_i + n must lie in [center - half, center + half]
         first = np.ceil(center - half - shift[i])
+        if zero is not None:  # centre 0: keep q_i >= 0
+            first[zero] = math.ceil(-shift[i])
         counts = np.maximum(np.floor(center + half - shift[i]) - first + 1.0, 0.0)
         total = counts.sum()
-        if total > MAX_POINTS:
+        counts = counts.astype(np.intp)
+        # child k of parent p is its (k - starts[p])-th point on the interval
+        starts = np.cumsum(counts) - counts
+        # the zero row's first child is q_i = 0 when shift_i = 0
+        zero = int(starts[zero]) if zero is not None and shift[i] == 0 else None
+        points = 2 * total - (zero is not None)
+        if points > MAX_POINTS:
             raise ValueError(
                 "theta sum needs %.3g lattice points at radius %d, above the "
                 "budget of %d (near-degenerate Im tau or unreachable tolerance)"
-                % (total, radius, MAX_POINTS))
-        counts = counts.astype(np.intp)
+                % (points, radius, MAX_POINTS))
         parent = np.arange(counts.size).repeat(counts)
-        # child k of parent p is its (k - starts[p])-th point on the interval
-        starts = np.cumsum(counts) - counts
         qi = (first - starts)[parent] + np.arange(int(total)) + shift[i]
-        remaining = remaining[parent] - (u[i, i] * (qi - center[parent])) ** 2
         q = q[parent]
         q[:, i] = qi
-    return q
+        if i:  # what is left of radius^2, and the centres, one layer down
+            remaining = remaining[parent] - (u[i, i] * (qi - center[parent])) ** 2
+            center = -(q[:, i:] @ u[i - 1, i:]) / u[i - 1, i - 1]
+    return q, zero
 
 
-def _phases(q, deltas):
-    """exp(pi i q . delta) for rows q of eps/2 + Z^g and integer vectors delta,
-    as N x K: 2q is a whole vector, so the phase is exactly i ** (2q . delta)."""
-    return _QUARTER_TURNS[np.rint(2.0 * q @ deltas.T).astype(np.intp) & 3]
+def _parity_phases(q, eps, deltas):
+    """(bins, walsh) with walsh[:, bins] = exp(pi i q . delta), exactly, for
+    rows q = eps/2 + n and integer rows delta: i ** (eps . delta) (-1) ** (n . delta),
+    with bins = n mod 2 as a g-bit number and walsh D x 2^g (Walsh-Hadamard)."""
+    g, eps = q.shape[1], np.asarray(eps)
+    bins = (np.rint(q - eps / 2.0).astype(np.intp) & 1) @ (1 << np.arange(g))
+    bits = (np.arange(2**g) >> np.arange(g)[:, None]) & 1  # g x 2^g, per bin
+    return bins, _QUARTER_TURNS[(deltas @ eps) & 3][:, None] * (1 - 2 * (deltas @ bits & 1))
 
 
 def _monomials(q, alphas):
@@ -213,7 +226,8 @@ def _monomials(q, alphas):
 def _jet(tau, chars, multi_indices, z, tol, max_order):
     """d^alpha theta_m(tau, z) for each m of chars (rows) and alpha of
     multi_indices (columns), absolute error below tol: one validation, one
-    radius, and per distinct eps one point set and one exponential."""
+    radius, and per distinct eps one set of pairs +-q and one exponential
+    (two away from z = 0)."""
     g = tau.g
     if any(m.g != g for m in chars):
         raise ValueError("genus mismatch")
@@ -228,36 +242,55 @@ def _jet(tau, chars, multi_indices, z, tol, max_order):
         if len(alpha) != g or min(alpha) < 0 or sum(alpha) > max_order:
             raise ValueError("bad derivative multi-index %r: need %d entries >= 0 "
                              "of total order <= %d" % (alpha, g, max_order))
+    top = max(map(sum, alphas), default=0)
     alphas = np.array(alphas, dtype=int).reshape(len(alphas), g)
-    z = np.zeros(g) if z is None else np.asarray(z, dtype=complex)
-    if z.shape != (g,):
-        raise ValueError("z must have length g")
-    if not np.isfinite(z).all():
-        raise ValueError("z must be finite")
-    # theta(z + 2n) = theta(z) for n in Z^g, and so is every z-derivative:
-    # an exact reduction to |Re z| <= 1 that leaves no sign to track
-    z = z - 2.0 * np.rint(z.real / 2.0)
+    if z is None:
+        z, sides = np.zeros(g), 1
+    else:
+        z = np.asarray(z, dtype=complex)
+        if z.shape != (g,):
+            raise ValueError("z must have length g")
+        if not np.isfinite(z).all():
+            raise ValueError("z must be finite")
+        # theta(z + 2n) = theta(z) for n in Z^g, and so is every z-derivative:
+        # an exact reduction to |Re z| <= 1 that leaves no sign to track
+        z = z - 2.0 * np.rint(z.real / 2.0)
+        sides = 1 + bool(z.any())
     orders = alphas.sum(axis=1)
-    radius = _ellipsoid_radius(tau, math.hypot(*z.imag), int(orders.max(initial=0)), tol)
+    radius = _ellipsoid_radius(tau, math.hypot(*z.imag), top, tol)
     rows_by_eps = {}
     for row, m in enumerate(chars):
         rows_by_eps.setdefault(m.eps, []).append(row)
-    values = np.empty((len(chars), len(alphas)), dtype=complex)
+    # the sums over the rows q and, away from z = 0, over their pairs -q
+    sums = np.empty((sides, len(chars), len(alphas)), dtype=complex)
     for eps, rows in rows_by_eps.items():
-        deltas = np.array([chars[row].delta for row in rows], dtype=float)
-        q = _ellipsoid_points(tau, np.asarray(eps, dtype=float) / 2.0, radius)
+        deltas = np.array([chars[row].delta for row in rows])
+        q, zero = _ellipsoid_points(tau, np.multiply(eps, 0.5), radius)
         # q is real: two real quadratic forms, not a complex N x g product
         quad = (np.einsum("ij,ij->i", q @ tau.entries.real, q)
                 + 1j * np.einsum("ij,ij->i", q @ tau.entries.imag, q))
-        terms = np.exp(np.pi * 1j * (quad + 2.0 * (q @ (z + deltas[0] / 2.0))))
+        # the first delta enters the exponent; every other one is read off
+        # 2^g bins of n mod 2 with the phase exp(pi i q . (delta - delta_0))
+        lin = q @ (2.0 * z + deltas[0])
         monomials = _monomials(q, alphas)
-        if len(rows) == 1:
-            # two real products, not a complex copy of the monomials
-            sums = (terms.real @ monomials + 1j * (terms.imag @ monomials))[None]
-        else:
-            sums = ((terms[:, None] * monomials).T @ _phases(q, deltas - deltas[0])).T
-        values[rows] = sums * (2j * np.pi) ** orders
-    return values
+        if len(rows) > 1:
+            bins, walsh = _parity_phases(q, eps, deltas - deltas[0])
+        for side, out in zip((1.0, -1.0), sums):
+            terms = np.exp(np.pi * 1j * (quad + lin if side > 0 else quad - lin))
+            if zero is not None:
+                terms[zero] = 0.5  # q = 0 is its own pair
+            if len(rows) == 1:
+                # two real products, not a complex copy of the monomials
+                out[rows] = terms.real @ monomials + 1j * (terms.imag @ monomials)
+                continue
+            binned = np.array([np.bincount(bins, terms.real * col, walsh.shape[1])
+                               + 1j * np.bincount(bins, terms.imag * col, walsh.shape[1])
+                               for col in monomials.T])
+            out[rows] = (walsh if side > 0 else walsh.conj()) @ binned.T
+    plus, minus = sums[0], sums[-1]
+    if len(sums) == 1:  # at z = 0 the -q terms are the q terms times (-1) ** (eps . delta)
+        minus = plus * np.array([(-1) ** scalar_class(m) for m in chars])[:, None]
+    return (plus + (-1) ** orders * minus) * (2j * np.pi) ** orders
 
 
 def eval_theta(m, tau, z=None, deriv=None, tol=DEFAULT_TOL, max_order=MAX_DERIV_ORDER):
@@ -277,25 +310,21 @@ def eval_theta_many(m, tau, multi_indices, z=None, tol=DEFAULT_TOL,
 
 
 def theta_constants_batch(tau, characteristics, tol=DEFAULT_TOL):
-    """Theta constants for many characteristics, one lattice pass per eps,
-    as a mapping from characteristic to value."""
+    """Theta constants for many characteristics, as a mapping from each to
+    its value: per eps one pass over the +-q pairs, every delta read off
+    the 2^g parity bins of its terms."""
     characteristics = list(characteristics)
     values = _jet(tau, characteristics, [(0,) * tau.g], None, tol, 0)
     return dict(zip(characteristics, values[:, 0].tolist()))
 
 
 def _unit(g, a, b=None):
-    alpha = [0] * g
-    alpha[a] += 1
-    if b is not None:
-        alpha[b] += 1
-    return tuple(alpha)
+    return tuple((c == a) + (c == b) for c in range(g))
 
 
 def gradient(m, tau, tol=DEFAULT_TOL):
     """The z-gradient of theta_m at z=0 (identically zero for even m)."""
-    vals = eval_theta_many(m, tau, [_unit(m.g, a) for a in range(m.g)], tol=tol)
-    return np.array(vals)
+    return np.array(eval_theta_many(m, tau, [_unit(m.g, a) for a in range(m.g)], tol=tol))
 
 
 def _second_order(g):
@@ -390,13 +419,10 @@ def f_phi_psi(t, odd, tol=DEFAULT_TOL):
     symbols at it reads again.  Call it as f_phi_psi(t, odd, tol), all
     positional, so that every caller shares one cache entry.
     """
-    if odd:
-        d1, d3, d5 = genus1_derivatives(_ODD1, t, (1, 3, 5), tol=tol)
-        f, phi = d1, d3 / d1
-        return f, phi, d5 / d1 - phi**2
-    d0, d2, d4 = genus1_derivatives(_EVEN1, t, (0, 2, 4), tol=tol)
-    f, phi = d0, d2 / d0
-    return f, phi, d4 / d0 - phi**2
+    f, d2, d4 = genus1_derivatives(_ODD1 if odd else _EVEN1, t,
+                                   (1, 3, 5) if odd else (0, 2, 4), tol=tol)
+    phi = d2 / f
+    return f, phi, d4 / f - phi**2
 
 
 GENERICITY_FLOOR = 1e-3
@@ -412,10 +438,7 @@ def sample_generic_diagonal(g, l, rng, tol=DEFAULT_TOL, max_tries=200):
         for _ in range(max_tries):
             cand = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
             _, phi, psi = f_phi_psi(cand, odd, tol)
-            if (
-                abs(psi - 2 * phi**2) > GENERICITY_FLOOR
-                and abs(4 * phi**2 - psi) > GENERICITY_FLOOR
-            ):
+            if min(abs(psi - 2 * phi**2), abs(4 * phi**2 - psi)) > GENERICITY_FLOOR:
                 t[a] = cand
                 break
         else:

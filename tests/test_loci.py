@@ -118,9 +118,30 @@ class TestProductOrbit:
             for g1 in range(1, g):
                 assert is_product_orbit(diag, g1).verdict
 
+    def test_split_off_a_later_column(self):
+        # a block product with column 2 split off: {2} | {1,3,4,5}
+        rng = np.random.default_rng(14)
+        swap = [1, 0, 2, 3, 4]
+        tau = PeriodMatrix(np.array(_block_product(5, rng).entries)[swap][:, swap])
+        assert is_product_orbit(tau, (2,)).verdict
+        assert is_product_orbit(tau, (4, 1, 3, 5)).verdict
+        assert not is_product_orbit(tau, 1).verdict
+        assert not is_product_orbit(tau, (1,)).verdict
+        verdict = is_product_orbit(tau, (2,))
+        assert verdict.locus == "product_orbit_2_1345"
+        assert is_product_orbit(tau, (1, 2)).locus == "product_orbit_2_3"
+        # odd on column 2 and odd on the other four: 1 x 120 characteristics
+        ms = [Characteristic.parse(dict(w)["characteristic"]) for w in verdict.witness]
+        assert len(ms) == 120
+        assert all(m.eps[1] == m.delta[1] == 1 for m in ms)
+
     def test_split_validation(self):
         with pytest.raises(ValueError):
             is_product_orbit(PeriodMatrix.diagonal([1j, 1j]), 2)
+        tau = PeriodMatrix.diagonal([1j, 1j, 1j])
+        for bad in ((), (1, 2, 3), (3, 2, 1), (0,), (4,), (1, 1), 0, 3):
+            with pytest.raises(ValueError, match="distinct columns in 1..3"):
+                is_product_orbit(tau, bad)
 
 
 class TestRankClass:

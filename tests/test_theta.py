@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from thetadiag.chars import EVEN, ODD, Characteristic, enumerate_characteristics
+from thetadiag import theta
 from thetadiag.theta import (
     DEFAULT_TOL,
     MAX_DERIV_ORDER,
@@ -20,8 +21,9 @@ from thetadiag.theta import (
     MAX_POINTS,
     PeriodMatrix,
     _ellipsoid_points,
+    _jet,
     _monomials,
-    _phases,
+    _parity_phases,
     eval_theta,
     eval_theta_many,
     f_phi_psi,
@@ -182,6 +184,31 @@ class TestAgainstOracles:
         m = Characteristic.parse("[11;11]")
         ours = eval_theta(m, PeriodMatrix(tau), z=z, tol=1e-12)
         assert abs(ours - mpmath_theta(m, tau, z=z, radius=15)) < 1e-10
+
+    def test_genus2_odd_orders_with_z_vs_mpmath(self):
+        # every characteristic at z != 0: both points of each pair differ,
+        # and -q carries (-1) ** |alpha|; one pass over all 16 takes the
+        # parity bins, one characteristic at a time the direct sum
+        tau = [[0.1 + 1.0j, 0.2 + 0.15j], [0.2 + 0.15j, -0.3 + 1.1j]]
+        z = [0.3 + 0.1j, -0.7 - 0.2j]
+        derivs = [(0, 0), (1, 0), (1, 2)]
+        chars = enumerate_characteristics(2)
+        batch = _jet(PeriodMatrix(tau), chars, derivs, z, 1e-12, MAX_DERIV_ORDER)
+        for m, row in zip(chars, batch):
+            single = eval_theta_many(m, PeriodMatrix(tau), derivs, z=z, tol=1e-12)
+            for deriv, ours, alone in zip(derivs, row, single):
+                exact = mpmath_theta(m, tau, z=z, deriv=deriv, radius=12, dps=30)
+                assert abs(ours - exact) < 1e-10
+                assert abs(alone - exact) < 1e-10
+
+    def test_genus2_batch_vs_mpmath(self):
+        # all 16 constants from the parity bins of one batch
+        tau = [[0.1 + 1.0j, 0.2 + 0.3j], [0.2 + 0.3j, -0.3 + 1.2j]]
+        values = theta_constants_batch(PeriodMatrix(tau), enumerate_characteristics(2),
+                                       tol=1e-12)
+        assert len(values) == 16
+        for m, ours in values.items():
+            assert abs(ours - mpmath_theta(m, tau, radius=15)) < 1e-10
 
     @pytest.mark.parametrize(
         "char", ["[110;110]", "[1100;1100]", "[11010;11001]"]
@@ -399,12 +426,18 @@ class TestBatchAndBounds:
 
     @pytest.mark.parametrize("g", range(1, MAX_NUMERIC_GENUS + 1))
     def test_quarter_turn_phases_vs_exponentials(self, g):
+        # i ** (eps . delta) (-1) ** (n . delta) = exp(pi i q . delta) for
+        # q = eps/2 + n, read off the parity bins, for deltas of either sign
+        # (the kernel passes delta - delta_0)
         rng = np.random.default_rng(50 + g)
-        deltas = np.array(list(itertools.product((0, 1), repeat=g)), dtype=float)
+        deltas = np.array(list(itertools.product((-1, 0, 1), repeat=g)))
         for eps in ((0,) * g, (1,) * g, tuple(rng.integers(0, 2, size=g))):
             q = shifted_points(g, eps, rng)
             assert (q < 0).any()
-            np.testing.assert_allclose(_phases(q, deltas), phase_oracle(q, deltas),
+            bins, walsh = _parity_phases(q, eps, deltas)
+            assert walsh.shape == (len(deltas), 2**g)
+            assert set(np.round(walsh.ravel(), 12)) <= {1, 1j, -1, -1j}
+            np.testing.assert_allclose(walsh[:, bins].T, phase_oracle(q, deltas),
                                        rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("g", range(1, MAX_NUMERIC_GENUS + 1))
@@ -453,21 +486,41 @@ class TestBatchAndBounds:
             eval_theta(Characteristic.zero(5), tau)
         assert time.perf_counter() - start < 5.0
 
+    def test_point_budget_counts_both_points_of_each_pair(self, monkeypatch):
+        # radius 4 holds 306,529 lattice points in 153,265 rows: the budget
+        # counts points, so the rows fitting under it do not let it pass
+        tau = PeriodMatrix.diagonal([0.2j] * 5)
+        with monkeypatch.context() as patched:
+            patched.setattr(theta, "MAX_POINTS", 10**6)
+            rows, zero = _ellipsoid_points(tau, np.zeros(5), 4)
+        assert zero is not None
+        assert len(rows) < MAX_POINTS < 2 * len(rows) - 1
+        with pytest.raises(ValueError, match="needs 3.07e[+]05 lattice points at radius 4"):
+            eval_theta(Characteristic.zero(5), tau)
+
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_ellipsoid_points_match_filtered_cube(self, g):
-        # reference: every point of a cube that contains the ellipsoid,
-        # kept when q^t Y q <= R^2
+        # reference: every point of a cube that contains the ellipsoid, kept
+        # when q^t Y q <= R^2; the rows hold one point of each pair +-q
         rng = np.random.default_rng(30 + g)
         tau = _random_tau(g, rng)
         y = tau.entries.imag
-        shift = rng.integers(0, 2, size=g) / 2.0
         radius = 3
         side = int(np.ceil(radius / np.sqrt(tau.lambda_min()))) + 1
         axes = [np.arange(-side, side + 1)] * g
-        cube = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g) + shift
-        inside = np.einsum("ij,jk,ik->i", cube, y, cube) <= radius**2
-        expected = sorted(map(tuple, cube[inside]))
-        assert sorted(map(tuple, _ellipsoid_points(tau, shift, radius))) == expected
+        cube = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
+        for shift in (np.zeros(g), np.full(g, 0.5), rng.integers(0, 2, size=g) / 2.0):
+            shifted = cube + shift
+            inside = np.einsum("ij,jk,ik->i", shifted, y, shifted) <= radius**2
+            expected = sorted(map(tuple, shifted[inside]))
+            half, zero = _ellipsoid_points(tau, shift, radius)
+            rows, negatives = set(map(tuple, half)), set(map(tuple, -half))
+            assert len(rows) == len(half)
+            assert sorted(rows | negatives) == expected
+            assert rows & negatives <= {(0.0,) * g}
+            assert (zero is not None) == (not shift.any())
+            if zero is not None:
+                assert not half[zero].any()
 
     def test_derivative_order_cap(self):
         tau = PeriodMatrix([[1j]])
