@@ -1,16 +1,17 @@
 """Exact combinatorics of theta characteristics.
 
 A characteristic is a pair of length-g bit vectors [eps; delta], added
-coordinatewise over Z_2.  Everything here is exact integer arithmetic;
-no numerics enter this module.
+coordinatewise over Z_2 and held as one 2g-bit int.  Everything here is
+exact integer arithmetic; no numerics enter this module.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 EVEN = "even"
 ODD = "odd"
@@ -23,15 +24,20 @@ _VERBOSE_RE = re.compile(r"^eps:([01]+)\s+delta:([01]+)$")
 _BITS = frozenset((0, 1))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Characteristic:
-    """A theta characteristic m = [eps; delta] with eps, delta in Z_2^g."""
+    """A theta characteristic m = [eps; delta] with eps, delta in Z_2^g,
+    stored as the 2g-bit int mask: the bits of eps then delta, most
+    significant first.  So eps sits in the high g bits and delta in the low
+    g bits, the scalar class is a popcount, addition is one XOR, and the
+    numeric order of masks is the lexicographic (eps, delta) order."""
 
-    eps: tuple
-    delta: tuple
+    # by hand: slots=True makes assigning to eps raise TypeError, not frozen's error
+    __slots__ = ("g", "mask")
+    g: int
+    mask: int
 
-    def __post_init__(self):
-        eps, delta = self.eps, self.delta
+    def __init__(self, eps, delta):
         if len(eps) != len(delta):
             raise ValueError("eps and delta must have equal length")
         if not eps:
@@ -42,34 +48,49 @@ class Characteristic:
             valid = False
         if not valid:
             raise ValueError("characteristic entries must be 0 or 1")
+        mask = 0
+        for bit in (*eps, *delta):
+            mask = mask << 1 | int(bit)
+        object.__setattr__(self, "g", len(eps))
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def _from_mask(cls, mask, g):
+        """The characteristic of genus g with the given mask, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "g", g)
+        object.__setattr__(m, "mask", mask)
+        return m
 
     @property
-    def g(self):
-        return len(self.eps)
+    def eps(self):
+        return _bits(self.mask >> self.g, self.g)
+
+    @property
+    def delta(self):
+        return _bits(self.mask & ((1 << self.g) - 1), self.g)
+
+    def __hash__(self):  # hashes like the (eps, delta) pair, so set orders hold
+        return hash((self.eps, self.delta))
+
+    def __reduce__(self):  # frozen: unpickle through the constructor, not setattr
+        return Characteristic, (self.eps, self.delta)
+
+    def __repr__(self):
+        return "Characteristic(eps=%r, delta=%r)" % (self.eps, self.delta)
 
     def __add__(self, other):
         if self.g != other.g:
             raise ValueError("genus mismatch")
-        return Characteristic(
-            tuple(a ^ b for a, b in zip(self.eps, other.eps)),
-            tuple(a ^ b for a, b in zip(self.delta, other.delta)),
-        )
+        return Characteristic._from_mask(self.mask ^ other.mask, self.g)
 
     def column(self, a):
         """Column a (1-based) as a genus-1 characteristic."""
-        return Characteristic((self.eps[a - 1],), (self.delta[a - 1],))
+        return Characteristic._from_mask(self.eps[a - 1] << 1 | self.delta[a - 1], 1)
 
     def compact(self):
-        return "[%s;%s]" % (
-            "".join(map(str, self.eps)),
-            "".join(map(str, self.delta)),
-        )
-
-    def verbose(self):
-        return "eps:%s delta:%s" % (
-            "".join(map(str, self.eps)),
-            "".join(map(str, self.delta)),
-        )
+        bits = format(self.mask, "0%db" % (2 * self.g))
+        return "[%s;%s]" % (bits[:self.g], bits[self.g:])
 
     def __str__(self):
         return self.compact()
@@ -88,21 +109,27 @@ class Characteristic:
         eps, delta = m.group(1), m.group(2)
         if len(eps) != len(delta):
             raise ValueError("eps and delta must have equal length: %r" % text)
-        return Characteristic(tuple(map(int, eps)), tuple(map(int, delta)))
+        return Characteristic._from_mask(int(eps + delta, 2), len(eps))
 
 
-def parity(m):
-    """Return EVEN or ODD according to eps . delta mod 2."""
-    return EVEN if sum(a * b for a, b in zip(m.eps, m.delta)) % 2 == 0 else ODD
-
-
-def is_even(m):
-    return parity(m) == EVEN
+@lru_cache(maxsize=1024)
+def _bits(x, g):
+    """The g-bit int x as a tuple of bits, most significant first."""
+    return tuple((x >> k) & 1 for k in range(g - 1, -1, -1))
 
 
 def scalar_class(m):
     """The scalar product <eps, delta> taken in Z: the number of (1,1) columns."""
-    return sum(a * b for a, b in zip(m.eps, m.delta))
+    return ((m.mask >> m.g) & m.mask).bit_count()
+
+
+def parity(m):
+    """Return EVEN or ODD according to eps . delta mod 2."""
+    return ODD if scalar_class(m) % 2 else EVEN
+
+
+def is_even(m):
+    return parity(m) == EVEN
 
 
 def sign(m):
@@ -119,16 +146,14 @@ def enumerate_characteristics(g, parity_filter=None, class_filter=None):
         raise ValueError("genus must be positive")
     if g > MAX_ENUM_GENUS:
         raise ValueError("enumeration bound exceeded: g=%d > %d" % (g, MAX_ENUM_GENUS))
-    bits = list(itertools.product((0, 1), repeat=g))  # bits[x]: x as g bits
     out = []
-    for e, eps in enumerate(bits):
-        for d, delta in enumerate(bits):
-            l = (e & d).bit_count()
-            if parity_filter is not None and (ODD if l % 2 else EVEN) != parity_filter:
-                continue
-            if class_filter is not None and l != class_filter:
-                continue
-            out.append(Characteristic(eps, delta))
+    for mask in range(4**g):  # mask order is the lexicographic (eps, delta) order
+        l = ((mask >> g) & mask).bit_count()
+        if parity_filter is not None and (ODD if l % 2 else EVEN) != parity_filter:
+            continue
+        if class_filter is not None and l != class_filter:
+            continue
+        out.append(Characteristic._from_mask(mask, g))
     return out
 
 
@@ -192,30 +217,6 @@ def b_char(fs):
     return total
 
 
-def _char_to_mask(m):
-    """m as a 2g-bit int: the bits of eps then delta, most significant first.
-
-    So eps sits in the high g bits and delta in the low g bits, the scalar
-    class is ((mask >> g) & mask).bit_count(), and the numeric order of masks
-    is the lexicographic (eps, delta) order of characteristics.
-    """
-    mask = 0
-    for bit in m.eps + m.delta:
-        mask = mask << 1 | bit
-    return mask
-
-
-@lru_cache(maxsize=1024)
-def _bits(x, g):
-    """The g-bit int x as a tuple of bits, most significant first."""
-    return tuple((x >> k) & 1 for k in range(g - 1, -1, -1))
-
-
-def _mask_to_char(mask, g):
-    """Inverse of _char_to_mask for genus g."""
-    return Characteristic(_bits(mask >> g, g), _bits(mask & ((1 << g) - 1), g))
-
-
 def _gf2_rank(vectors):
     """The rank over Z_2 of int bit vectors."""
     basis = []  # each one's leading bit is clear in every later one
@@ -225,34 +226,6 @@ def _gf2_rank(vectors):
         if x:
             basis.append(x)
     return len(basis)
-
-
-def _small_sums(fs, sizes):
-    """(mask, index tuple) of every sum of k essential members, for k in
-    sizes in order; the indices are into fs.essential_members()."""
-    members = [_char_to_mask(x) for x in fs.essential_members()]
-    for k in sizes:
-        for combo in itertools.combinations(range(len(members)), k):
-            total = 0
-            for i in combo:
-                total ^= members[i]
-            yield total, combo
-
-
-def decompose(m, fs):
-    """The unique subset of {o_1..o_g, e_2..e_{g+2}} of size <= g summing to m.
-
-    Returns the subset as a tuple of indices into fs.essential_members().
-    The sums of at most g essential members are 4^g distinct characteristics
-    (Mumford, Tata Lectures on Theta II), so m is found among them.
-    """
-    if m.g != fs.g:
-        raise ValueError("genus mismatch")
-    target = _char_to_mask(m)
-    for mask, combo in _small_sums(fs, range(fs.g + 1)):
-        if mask == target:
-            return combo
-    raise ValueError("no representation of size <= g found")
 
 
 def is_essential_basis(members):
@@ -269,14 +242,7 @@ def is_essential_basis(members):
     if any(x.g != g for x in members):
         raise ValueError("genus mismatch")
     n = 2 * g + 1
-    return len(members) == n and _gf2_rank(
-        _char_to_mask(x) << 1 | 1 for x in members) == n
-
-
-def sums_of_fewer_than_g(fs):
-    """Map m -> subset size, over all sums of k < g essential members."""
-    return {_mask_to_char(x, fs.g): len(combo)
-            for x, combo in _small_sums(fs, range(fs.g))}
+    return len(members) == n and _gf2_rank(x.mask << 1 | 1 for x in members) == n
 
 
 def hyperelliptic_vanishing_set(g):
@@ -288,15 +254,17 @@ def hyperelliptic_vanishing_set(g):
     if g > MAX_ENUM_GENUS:
         raise ValueError("bound exceeded: g=%d > %d" % (g, MAX_ENUM_GENUS))
     fs = special_fundamental_system(g)
-    b = _char_to_mask(b_char(fs))
+    members = [x.mask for x in fs.essential_members()]
+    b = b_char(fs).mask
     out = set()
-    for x, combo in _small_sums(fs, range(g)):
-        shifted, k = x ^ b, len(combo)
-        if ((shifted >> g) & shifted).bit_count() % 2 == 0:
-            # cross-check against the mod-4 parity rule
-            if k % 4 not in (g % 4, (g + 1) % 4):
-                raise RuntimeError("mod-4 parity rule fails: k=%d, g=%d" % (k, g))
-            out.add(_mask_to_char(shifted, g))
+    for k in range(g):
+        for combo in itertools.combinations(members, k):
+            shifted = reduce(operator.xor, combo, b)
+            if ((shifted >> g) & shifted).bit_count() % 2 == 0:
+                # cross-check against the mod-4 parity rule
+                if k % 4 not in (g % 4, (g + 1) % 4):
+                    raise RuntimeError("mod-4 parity rule fails: k=%d, g=%d" % (k, g))
+                out.add(Characteristic._from_mask(shifted, g))
     return out
 
 

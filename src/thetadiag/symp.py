@@ -4,7 +4,7 @@ Only the mod-2 quotient of the integral symplectic group acts on
 characteristics.  An element is held as its four g x g blocks over Z_2
 (numpy uint8 arrays), which the group law multiplies.  For the action each
 element is compiled once into an affine map on characteristics as 2g-bit
-masks (chars._char_to_mask): two 2^g-entry lookup tables, giving the image
+masks (Characteristic.mask): two 2^g-entry lookup tables, giving the image
 under the linear part of the high (eps) and of the low (delta) half of a
 mask, plus a shift mask.  Acting is two lookups and two XORs, and an orbit
 is a breadth-first search over ints.
@@ -17,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chars import (EVEN, Characteristic, _char_to_mask, _mask_to_char, even_count,
-                    odd_count, parity)
+from .chars import EVEN, Characteristic, even_count, odd_count, parity
 
 
 def _mat(rows):
@@ -129,7 +128,7 @@ def act(sigma, m):
     """
     if sigma.g != m.g:
         raise ValueError("genus mismatch")
-    return _mask_to_char(_apply(sigma._affine, _char_to_mask(m)), m.g)
+    return Characteristic._from_mask(_apply(sigma._affine, m.mask), m.g)
 
 
 def sigma0():
@@ -226,9 +225,8 @@ def orbit(m, generators):
     g = m.g
     low_bits = (1 << g) - 1
     maps = [gen._affine[1:] for gen in generators]
-    start = _char_to_mask(m)
-    seen = {start}
-    frontier = [start]
+    seen = {m.mask}
+    frontier = [m.mask]
     while frontier:
         new_frontier = []
         for x in frontier:
@@ -240,7 +238,7 @@ def orbit(m, generators):
                     new_frontier.append(y)
         frontier = new_frontier
     # mask order is the lexicographic (eps, delta) order
-    return [_mask_to_char(x, g) for x in sorted(seen)]
+    return [Characteristic._from_mask(x, g) for x in sorted(seen)]
 
 
 @dataclass(frozen=True)

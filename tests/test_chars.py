@@ -1,6 +1,7 @@
 """Exact combinatorics: parities, counts, fundamental systems, vanishing sets."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -12,10 +13,7 @@ from thetadiag.chars import (
     EVEN,
     ODD,
     Characteristic,
-    _char_to_mask,
-    _mask_to_char,
     b_char,
-    decompose,
     enumerate_characteristics,
     even_count,
     hyperelliptic_vanishing_set,
@@ -27,7 +25,6 @@ from thetadiag.chars import (
     scalar_class,
     sign,
     special_fundamental_system,
-    sums_of_fewer_than_g,
     vanish_lemma_check,
 )
 
@@ -54,6 +51,13 @@ def reference_enumeration(g, parity_filter=None, class_filter=None):
     return out
 
 
+def sum_masks(masks):
+    total = 0
+    for x in masks:
+        total ^= x
+    return total
+
+
 def odd_sums_distinct(members):
     """The definition of an essential basis, by brute force: 2g+1 members of
     genus g whose sums over odd-size subsets are pairwise distinct."""
@@ -77,7 +81,7 @@ class TestCharacteristic:
         m = Characteristic.parse("[110;101]")
         assert m.eps == (1, 1, 0) and m.delta == (1, 0, 1)
         assert Characteristic.parse(m.compact()) == m
-        assert Characteristic.parse(m.verbose()) == m
+        assert Characteristic.parse("eps:110 delta:101") == m
 
     def test_parse_rejects_garbage(self):
         for text in ("[11;1]", "[12;10]", "110;110", ""):
@@ -157,13 +161,86 @@ class TestMasks:
     @pytest.mark.parametrize("g", range(1, 5))
     def test_roundtrip_in_lexicographic_order(self, g):
         ordered = reference_enumeration(g)
-        assert [_char_to_mask(m) for m in ordered] == list(range(4**g))
-        assert [_mask_to_char(_char_to_mask(m), g) for m in ordered] == ordered
+        assert [m.mask for m in ordered] == list(range(4**g))
+        assert [Characteristic._from_mask(m.mask, g) for m in ordered] == ordered
 
     def test_layout(self):
         m = Characteristic.parse("[110;011]")
-        assert _char_to_mask(m) == 0b110011
-        assert ((_char_to_mask(m) >> 3) & _char_to_mask(m)).bit_count() == scalar_class(m)
+        assert (m.g, m.mask) == (3, 0b110011)
+        assert ((m.mask >> 3) & m.mask).bit_count() == scalar_class(m)
+
+
+NON_BITS = (-1, 2, 0.5, "1", None, [0])
+
+
+@st.composite
+def genus_and_bits(draw, n):
+    """A genus g in 1..8 and n bit tuples of length g."""
+    g = draw(st.integers(1, 8))
+    return g, [draw(bits(g)) for _ in range(n)]
+
+
+class TestMaskForm:
+    """The mask form against the semantics of a pair of bit tuples."""
+
+    @given(genus_and_bits(2))
+    def test_bits_roundtrip(self, case):
+        g, (eps, delta) = case
+        m = Characteristic(eps, delta)
+        assert (m.eps, m.delta, m.g) == (eps, delta, g)
+        assert Characteristic(eps=list(eps), delta=delta) == m
+        assert Characteristic._from_mask(m.mask, g) == m
+        assert pickle.loads(pickle.dumps(m)) == m
+        assert repr(m) == "Characteristic(eps=%r, delta=%r)" % (eps, delta)
+
+    @given(genus_and_bits(2))
+    def test_compact_parse_roundtrip(self, case):
+        _, (eps, delta) = case
+        m = Characteristic(eps, delta)
+        text = "".join(map(str, eps)), "".join(map(str, delta))
+        assert m.compact() == "[%s;%s]" % text
+        assert Characteristic.parse(m.compact()) == m
+        assert Characteristic.parse("eps:%s delta:%s" % text) == m
+
+    @given(genus_and_bits(4))
+    def test_addition_is_coordinatewise_xor(self, case):
+        _, (e1, d1, e2, d2) = case
+        total = Characteristic(e1, d1) + Characteristic(e2, d2)
+        assert total.eps == tuple(a ^ b for a, b in zip(e1, e2))
+        assert total.delta == tuple(a ^ b for a, b in zip(d1, d2))
+
+    @given(genus_and_bits(2))
+    def test_scalar_class_parity_and_sign(self, case):
+        _, (eps, delta) = case
+        m = Characteristic(eps, delta)
+        l = sum(a * b for a, b in zip(eps, delta))
+        assert scalar_class(m) == l
+        assert parity(m) == (ODD if l % 2 else EVEN)
+        assert sign(m) == (-1) ** l
+
+    @given(genus_and_bits(4))
+    def test_equality_hash_and_order(self, case):
+        _, (e1, d1, e2, d2) = case
+        m, n = Characteristic(e1, d1), Characteristic(e2, d2)
+        assert (m == n) == ((e1, d1) == (e2, d2))
+        assert hash(m) == hash((e1, d1))
+        assert (m.mask < n.mask) == ((e1, d1) < (e2, d2))
+
+    @given(genus_and_bits(2), st.sampled_from(NON_BITS), st.data())
+    def test_malformed_input_raises(self, case, entry, data):
+        g, (eps, delta) = case
+        m = Characteristic(eps, delta)
+        other = data.draw(st.integers(1, 8).filter(lambda h: h != g))
+        with pytest.raises(ValueError, match="genus mismatch"):
+            m + Characteristic.zero(other)
+        with pytest.raises(ValueError, match="equal length"):
+            Characteristic(eps, delta + (0,))
+        at = data.draw(st.integers(0, g - 1))
+        bad = eps[:at] + (entry,) + eps[at + 1:]
+        with pytest.raises(ValueError, match="0 or 1"):
+            Characteristic(bad, delta)
+        with pytest.raises(ValueError, match="0 or 1"):
+            Characteristic(delta, bad)
 
 
 class TestFundamentalSystem:
@@ -229,23 +306,14 @@ class TestFundamentalSystem:
     def test_b3(self):
         assert b_char(special_fundamental_system(3)).compact() == "[111;101]"
 
-    @pytest.mark.parametrize("g", (1, 2, 3, 4, 5))
-    def test_decompose_roundtrip(self, g):
-        fs = special_fundamental_system(g)
-        members = fs.essential_members()
-        for m in enumerate_characteristics(g):
-            idx = decompose(m, fs)
-            assert len(idx) <= g
-            total = Characteristic.zero(g)
-            for i in idx:
-                total = total + members[i]
-            assert total == m
-
-    def test_decompose_genus_mismatch(self):
-        fs = special_fundamental_system(3)
-        for m in (Characteristic.zero(2), Characteristic.parse("[10;01]")):
-            with pytest.raises(ValueError, match="genus mismatch"):
-                decompose(m, fs)
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_small_sums_are_distinct(self, g):
+        # Mumford, Tata Lectures on Theta II: every characteristic is a sum
+        # of at most g essential members in exactly one way
+        members = [x.mask for x in special_fundamental_system(g).essential_members()]
+        sums = [sum_masks(combo) for k in range(g + 1)
+                for combo in itertools.combinations(members, k)]
+        assert len(sums) == len(set(sums)) == 4**g
 
 
 class TestHyperellipticVanishing:
@@ -262,20 +330,25 @@ class TestHyperellipticVanishing:
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_sums_match_chained_addition(self, g):
-        members = special_fundamental_system(g).essential_members()
-        expected = {}
+        fs = special_fundamental_system(g)
+        b = b_char(fs)
+        expected = set()
         for k in range(g):
-            for combo in itertools.combinations(members, k):
-                total = Characteristic.zero(g)
+            for combo in itertools.combinations(fs.essential_members(), k):
+                total = b
                 for m in combo:
                     total = total + m
-                expected[total] = k
-        assert sums_of_fewer_than_g(special_fundamental_system(g)) == expected
+                if is_even(total):
+                    expected.add(total)
+        assert hyperelliptic_vanishing_set(g) == expected
 
     @pytest.mark.parametrize("g", range(2, 6))
     def test_members_are_even_shifts(self, g):
+        # the shift of a sum of k < g members by b^g is even exactly when
+        # k = g or g + 1 mod 4
         fs = special_fundamental_system(g)
-        b = b_char(fs)
-        small = sums_of_fewer_than_g(fs)
-        expected = {m + b for m in small if is_even(m + b)}
+        members, b = [x.mask for x in fs.essential_members()], b_char(fs).mask
+        expected = {Characteristic._from_mask(sum_masks(combo) ^ b, g)
+                    for k in range(g) if k % 4 in (g % 4, (g + 1) % 4)
+                    for combo in itertools.combinations(members, k)}
         assert hyperelliptic_vanishing_set(g) == expected

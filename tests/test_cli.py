@@ -353,6 +353,12 @@ class TestFormatsAndReproducibility:
         second.pop("timestamp")
         assert first == second
 
+    def test_exact_layer_matches_snapshot(self):
+        # the exact layer's entries hold only ints, bools and strings, so a
+        # refactor of chars or symp must reproduce them byte for byte
+        snapshot = Path(__file__).with_name("data") / "exact_checks.json"
+        assert json.dumps(cli._exact_checks(), indent=1) + "\n" == snapshot.read_text()
+
     def test_report_all_seed_changes_data(self, tmp_path):
         _, first = run_json(["report-all", "--g", "4", "--seed", "7"],
                             tmp_path, "a.json")

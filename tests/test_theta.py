@@ -238,7 +238,12 @@ class TestStructuralIdentities:
             tau = _random_tau(g, rng)
             odds = enumerate_characteristics(g, parity_filter=ODD)
             m = odds[rng.integers(len(odds))]
-            assert abs(eval_theta(m, tau)) < 1e-10
+            # theta(-z) = -theta(z); away from z = 0 each side of the +-q
+            # pairing has its own exponential, so neither cancels by construction
+            z = np.linspace(0.1, 0.3, g)
+            value = eval_theta(m, tau, z)
+            assert abs(value + eval_theta(m, tau, -z)) < 1e-10
+            assert abs(value) > 1e-6
 
     def test_even_gradients_vanish(self):
         rng = np.random.default_rng(1)
