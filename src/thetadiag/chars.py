@@ -85,7 +85,10 @@ class Characteristic:
         return Characteristic._from_mask(self.mask ^ other.mask, self.g)
 
     def column(self, a):
-        """Column a (1-based) as a genus-1 characteristic."""
+        """Column a (1-based) as a genus-1 characteristic; ValueError unless
+        1 <= a <= g."""
+        if not 1 <= a <= self.g:
+            raise ValueError("column %r out of range 1..%d" % (a, self.g))
         return Characteristic._from_mask(self.eps[a - 1] << 1 | self.delta[a - 1], 1)
 
     def compact(self):

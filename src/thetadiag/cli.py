@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -187,6 +189,8 @@ def _parse_char(text):
 
 
 def _jsonable(value):
+    if isinstance(value, chars.Characteristic):
+        return value.compact()
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, (np.floating, np.integer)):
@@ -206,12 +210,12 @@ def _check(label, passed, **detail):
     return entry
 
 
-def _report_check(label, report, drop=()):
-    """A check entry from a report's to_dict(), less the keys in `drop`."""
-    detail = report.to_dict()
-    for key in ("pass",) + tuple(drop):
-        detail.pop(key)
-    return _check(label, report.passed, **detail)
+def _report_check(label, result, drop=()):
+    """A check entry from a result dataclass: its fields, in declaration
+    order and less the names in `drop`, are the entry's detail."""
+    return _check(label, result.passed, **{
+        f.name: getattr(result, f.name)
+        for f in dataclasses.fields(result) if f.name not in drop})
 
 
 def _slice_checks(result):
@@ -387,8 +391,9 @@ def _cmd_loci_test(args, rng):
         _require_genus(tau.g, 1, theta.MAX_NUMERIC_GENUS)
         try:
             v = loci.is_diagonal_orbit(tau, tol=args.tol)
+            digest = hashlib.sha256(np.ascontiguousarray(tau.entries).tobytes())
             checks.append(_check("diagonal-orbit detector", True, verdict=v.verdict,
-                                 tau_digest=v.tau_digest))
+                                 tau_digest=digest.hexdigest()[:16]))
             for g1 in range(1, tau.g):
                 v = loci.is_product_orbit(tau, g1, tol=args.tol)
                 checks.append(_check("product-orbit detector split %d+%d"

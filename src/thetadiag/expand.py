@@ -41,22 +41,11 @@ class BracketPolynomial:
         if g < 1:
             raise ValueError("genus must be positive")
         self.g = g
-        self.terms = {}
-        for key, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                self.terms[key] = self.terms.get(key, Fraction(0)) + coeff
-        self._prune()
-
-    def _prune(self):
-        for key in [k for k, c in self.terms.items() if not c]:
-            del self.terms[key]
+        self.terms = {key: Fraction(coeff) for key, coeff in (terms or {}).items()
+                      if coeff}
 
     def is_zero(self):
         return not self.terms
-
-    def copy(self):
-        return BracketPolynomial(self.g, dict(self.terms))
 
     @staticmethod
     def zero(g):
@@ -358,18 +347,6 @@ class SlopeReport:
         if self.comparison == "at_least":
             return self.fitted_slope >= self.target_order - self.tolerance
         return abs(self.fitted_slope - self.target_order) <= self.tolerance
-
-    def to_dict(self):
-        return {
-            "epsilon_ladder": list(self.epsilon_ladder),
-            "values": list(self.values),
-            "fitted_slope": self.fitted_slope,
-            "target_order": self.target_order,
-            "tolerance": self.tolerance,
-            "comparison": self.comparison,
-            "zero_ray": self.zero_ray,
-            "pass": self.passed,
-        }
 
 
 def default_ladder():

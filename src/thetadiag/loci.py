@@ -12,7 +12,6 @@ theta tolerance costs one batch of even theta constants (even_scale).
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -44,28 +43,14 @@ DEFAULT_VANISH_TOL = 1e-8
 U = 1.0 / (2j * np.pi)
 
 
-def _digest(tau):
-    return hashlib.sha256(np.ascontiguousarray(tau.entries).tobytes()).hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class LocusVerdict:
     """Outcome of a locus membership test, with a complete witness table."""
 
     locus: str
-    tau_digest: str
     witness: tuple
     tol: float
     verdict: bool
-
-    def to_dict(self):
-        return {
-            "locus": self.locus,
-            "tau_digest": self.tau_digest,
-            "witness": [dict(w) for w in self.witness],
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
 
 
 def even_scale(tau, theta_tol=DEFAULT_TOL):
@@ -103,7 +88,7 @@ def is_diagonal_orbit(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
     scale, values = even_scale(tau, theta_tol)
     ms = sorted((m for m in values if scalar_class(m)), key=Characteristic.compact)
     witness, verdict = _vanishing_witness(values, ms, scale, tol)
-    return LocusVerdict("diagonal_orbit", _digest(tau), witness, tol, verdict)
+    return LocusVerdict("diagonal_orbit", witness, tol, verdict)
 
 
 def is_product_orbit(tau, g1, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
@@ -127,7 +112,7 @@ def is_product_orbit(tau, g1, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
     split = "%d_%d" % (len(first), len(rest))
     if first != tuple(range(1, len(first) + 1)):
         split = "_".join("".join(map(str, cols)) for cols in (first, rest))
-    return LocusVerdict("product_orbit_" + split, _digest(tau), witness, tol, verdict)
+    return LocusVerdict("product_orbit_" + split, witness, tol, verdict)
 
 
 def thetanull_rank_class(tau, m, tol=DEFAULT_VANISH_TOL, rank_rel_tol=1e-7,
@@ -152,7 +137,7 @@ def hyperelliptic_vanishing_test(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_
                                           ("required", True))
     extra = [m for m in values if m not in vanishing]  # batch order: compact order
     witness += _vanishing_witness(values, extra, scale, tol, ("required", False))[0]
-    return LocusVerdict("hyperelliptic_vanishing", _digest(tau), witness, tol, verdict)
+    return LocusVerdict("hyperelliptic_vanishing", witness, tol, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +147,14 @@ def hyperelliptic_vanishing_test(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_
 @dataclass(frozen=True)
 class TridiagonalReport:
     g: int
-    witness: tuple  # one entry per triple
+    witness: tuple  # one row per triple, ending in ("pass", bool)
     kernel_dimension: int
     expected_kernel_dimension: int
-    per_triple_pass: bool
 
     @property
     def passed(self):
-        return self.per_triple_pass and (
-            self.kernel_dimension == self.expected_kernel_dimension
-        )
-
-    def to_dict(self):
-        return {
-            "g": self.g,
-            "witness": [dict(w) for w in self.witness],
-            "kernel_dimension": self.kernel_dimension,
-            "expected_kernel_dimension": self.expected_kernel_dimension,
-            "pass": self.passed,
-        }
+        return (all(row[-1][1] for row in self.witness)
+                and self.kernel_dimension == self.expected_kernel_dimension)
 
 
 def tridiagonal_tangent_check(g, t, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
@@ -197,7 +171,6 @@ def tridiagonal_tangent_check(g, t, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TO
              for j1, j2, j3 in triples]
     _, grads = tau_jet(PeriodMatrix.diagonal(t), chars, theta_tol)
     witness = []
-    per_triple = True
     for (j1, j2, j3), m, grad in zip(triples, chars, grads):
         off = np.abs(grad)
         scale = off.max()
@@ -205,7 +178,6 @@ def tridiagonal_tangent_check(g, t, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TO
         off[j1 - 1, j3 - 1] = off[j3 - 1, j1 - 1] = 0.0
         spurious = off.max()
         ok = expected > tol * scale and spurious < tol * scale
-        per_triple = per_triple and ok
         witness.append(
             (("triple", (j1, j2, j3)), ("characteristic", m.compact()),
              ("support_entry", (j1, j3)), ("support_abs", float(expected)),
@@ -218,7 +190,6 @@ def tridiagonal_tangent_check(g, t, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TO
         witness=tuple(witness),
         kernel_dimension=int(kernel_dim),
         expected_kernel_dimension=2 * g - 1,
-        per_triple_pass=per_triple,
     )
 
 
@@ -237,15 +208,6 @@ class CoefficientCheck:
     def passed(self):
         return abs(self.measured - self.expected) <= self.rel_tol * abs(self.expected)
 
-    def to_dict(self):
-        return {
-            "label": self.label,
-            "measured": [self.measured.real, self.measured.imag],
-            "expected": [self.expected.real, self.expected.imag],
-            "rel_tol": self.rel_tol,
-            "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class SliceCheckResult:
@@ -258,14 +220,6 @@ class SliceCheckResult:
         return all(r.passed for r in self.slope_reports) and all(
             c.passed for c in self.coefficient_checks
         )
-
-    def to_dict(self):
-        return {
-            "label": self.label,
-            "slope_reports": [r.to_dict() for r in self.slope_reports],
-            "coefficient_checks": [c.to_dict() for c in self.coefficient_checks],
-            "pass": self.passed,
-        }
 
 
 def _slice_y_tau(t, weights, eps):

@@ -244,7 +244,7 @@ def orbit(m, generators):
 @dataclass(frozen=True)
 class OrbitReport:
     g: int
-    seed: Characteristic
+    seed_characteristic: Characteristic
     generator_set: str
     even_orbit_size: int
     odd_orbit_size: int
@@ -257,18 +257,6 @@ class OrbitReport:
             self.even_orbit_size == self.expected_even
             and self.odd_orbit_size == self.expected_odd
         )
-
-    def to_dict(self):
-        return {
-            "g": self.g,
-            "seed_characteristic": self.seed.compact(),
-            "generator_set": self.generator_set,
-            "even_orbit_size": self.even_orbit_size,
-            "odd_orbit_size": self.odd_orbit_size,
-            "expected_even": self.expected_even,
-            "expected_odd": self.expected_odd,
-            "pass": self.passed,
-        }
 
 
 def verify_transitivity(g):
@@ -286,7 +274,7 @@ def verify_transitivity(g):
         raise RuntimeError("the even orbit of genus %d holds an odd characteristic" % g)
     return OrbitReport(
         g=g,
-        seed=even_seed,
+        seed_characteristic=even_seed,
         generator_set="Gg",
         even_orbit_size=len(even_orbit),
         odd_orbit_size=len(odd_orbit),

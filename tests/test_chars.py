@@ -112,6 +112,16 @@ class TestCharacteristic:
         assert m.column(1) == Characteristic((1,), (0,))
         assert m.column(2) == Characteristic((0,), (1,))
 
+    def test_every_column_in_range(self):
+        for m in enumerate_characteristics(3):
+            assert [m.column(a) for a in (1, 2, 3)] == [
+                Characteristic((e,), (d,)) for e, d in zip(m.eps, m.delta)]
+
+    @pytest.mark.parametrize("a", [0, -1, 3])
+    def test_column_out_of_range(self, a):
+        with pytest.raises(ValueError, match=r"1\.\.2"):
+            Characteristic.parse("[10;01]").column(a)
+
 
 class TestParity:
     def test_examples(self):

@@ -36,6 +36,30 @@ def run_json(argv, tmp_path, name="report.json"):
     return code, json.loads(out.read_text())
 
 
+REPORT_KEY_JOBS = {
+    "report-all --g 4": ["report-all", "--g", "4"],
+    "report-all --g 5": ["report-all", "--g", "5"],
+    "loci-test --g 5": ["loci-test", "--g", "5"],
+    "loci-test --tau (g=3 diagonal)": ["loci-test", "--tau"],
+    "hess-minor --g 5": ["hess-minor", "--g", "5"],
+    "grad-verify --g 5 --directions 1": ["grad-verify", "--g", "5", "--directions", "1"],
+    "expand-verify --g 5 --directions 1": ["expand-verify", "--g", "5",
+                                           "--directions", "1"],
+    "orbit --g 3": ["orbit", "--g", "3"],
+}
+
+
+def report_keys(tmp_path, tau_file):
+    """{job: [[label, [keys of its entry, in order]], ...]} at --seed 0; the
+    --tau job reads tau_file."""
+    keys = {}
+    for job, argv in REPORT_KEY_JOBS.items():
+        argv = argv + [tau_file] if argv[-1] == "--tau" else argv
+        _, report = run_json(argv + ["--seed", "0"], tmp_path)
+        keys[job] = [[c["label"], list(c)] for c in report["checks"]]
+    return keys
+
+
 class TestPlumbing:
     def test_ladder_power_syntax(self):
         assert _parse_ladder("2^-3..2^-5") == [0.125, 0.0625, 0.03125]
@@ -358,6 +382,12 @@ class TestFormatsAndReproducibility:
         # refactor of chars or symp must reproduce them byte for byte
         snapshot = Path(__file__).with_name("data") / "exact_checks.json"
         assert json.dumps(cli._exact_checks(), indent=1) + "\n" == snapshot.read_text()
+
+    def test_report_keys_match_snapshot(self, tmp_path, tau_file):
+        # the label and ordered keys of every check entry, which hold no
+        # floats: a result field added, renamed or leaked shows up here
+        snapshot = Path(__file__).with_name("data") / "report_keys.json"
+        assert report_keys(tmp_path, tau_file) == json.loads(snapshot.read_text())
 
     def test_report_all_seed_changes_data(self, tmp_path):
         _, first = run_json(["report-all", "--g", "4", "--seed", "7"],

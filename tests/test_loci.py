@@ -1,6 +1,7 @@
 """Locus detectors and theorem verifiers on canonical and random points."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,6 +358,14 @@ class TestTridiagonalTangent:
             j1, _, j3 = d["triple"]
             assert d["support_entry"] == (j1, j3)
 
+    def test_one_failing_row_or_the_wrong_kernel_fails(self):
+        rng = np.random.default_rng(11)
+        report = tridiagonal_tangent_check(4, sample_generic_diagonal(4, 0, rng))
+        assert report.passed
+        first = report.witness[0][:-1] + (("pass", False),)
+        assert not replace(report, witness=(first,) + report.witness[1:]).passed
+        assert not replace(report, kernel_dimension=report.kernel_dimension + 1).passed
+
     def test_genus_validation(self):
         with pytest.raises(ValueError):
             tridiagonal_tangent_check(2, [1j, 1j])
@@ -368,7 +377,7 @@ class TestGradientLocusSlice:
         rng = np.random.default_rng(g + 40)
         t = sample_generic_diagonal(g, 3, rng)
         result = gradient_locus_check(g, t, rng)
-        assert result.passed, result.to_dict()
+        assert result.passed, result
 
     def test_genus_validation(self):
         with pytest.raises(ValueError):
@@ -382,7 +391,7 @@ class TestMinorIdentities:
         rng = np.random.default_rng(hash((g, which)) % 2**31)
         t = sample_generic_diagonal(g, 2, rng)
         result = minor_identity_check(g, t, which, rng)
-        assert result.passed, result.to_dict()
+        assert result.passed, result
 
     def test_d12jk_vacuous_for_g4(self):
         rng = np.random.default_rng(12)
