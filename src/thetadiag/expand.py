@@ -264,11 +264,8 @@ def _hessian_entry(a, b, g):
         ).times_symbol("psi", a)
         return p.scale(Fraction(1, 2))
     if a <= 2 and b <= 2:
-        # (1,2): 1 plus correction terms that are identically-zero brackets
-        out = BracketPolynomial.one(g)
-        for alpha in range(1, g + 1):
-            out = out + bracket([alpha, alpha], g).times_symbol("phi", alpha)
-        return out
+        # (1,2): 1; its correction brackets [alpha, alpha] vanish identically
+        return BracketPolynomial.one(g)
     if a <= 2:
         # (J, j): phi_j [other, j] + phi_j sum phi_alpha [alpha, alpha, other, j]
         other = 3 - a

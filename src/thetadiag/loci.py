@@ -1,6 +1,7 @@
 """Detectors for geometric loci near the diagonal, and numerical verifiers
 for the local structure results: tridiagonal tangent spaces, the
-gradient-locus slice computation, and the Hessian minor identities.
+gradient-locus slice computation, and the Hessian minor identities.  The
+slice-Y model of the z_1 derivative is expand.grad_leading(3, g, 1).
 
 All vanishing tests are relative: a theta constant counts as zero when it
 is below tol times the largest even theta constant at the same point.  Every
@@ -27,7 +28,8 @@ from .chars import (
     scalar_class,
     special_fundamental_system,
 )
-from .expand import bind_symbols, default_ladder, fit_slope, normal_form
+from .expand import (bind_symbols, default_ladder, evaluate, fit_slope, grad_leading,
+                     normal_form)
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
@@ -222,29 +224,22 @@ class SliceCheckResult:
         )
 
 
-def _slice_y_tau(t, weights, eps):
-    """Period matrix on the slice {tau_jk = 0 for 4 <= j < k,
-    tau_1j = tau_2j = tau_3j for j >= 4}, with the free off-diagonal
-    coordinates (tau_12, tau_13, tau_23, tau_1j) set to weights * eps."""
-    g = len(t)
+def _near_diagonal(t, offdiag):
+    """The period matrix diag(t) with the 1-based entries {(a, b): value} of
+    offdiag set symmetrically: the inverse of expand.offdiag_of."""
     tau = np.diag(np.asarray(t, dtype=complex))
-    w12, w13, w23 = weights[0], weights[1], weights[2]
-    tau[0, 1] = tau[1, 0] = w12 * eps
-    tau[0, 2] = tau[2, 0] = w13 * eps
-    tau[1, 2] = tau[2, 1] = w23 * eps
-    for j in range(4, g + 1):
-        v = weights[j - 1] * eps
-        for a in (1, 2, 3):
-            tau[a - 1, j - 1] = tau[j - 1, a - 1] = v
+    for (a, b), value in offdiag.items():
+        tau[a - 1, b - 1] = tau[b - 1, a - 1] = value
     return PeriodMatrix(tau)
 
 
 def gradient_locus_check(g, t, rng, rel_tol=0.05, theta_tol=DEFAULT_TOL,
                          ladder=None):
-    """On the slice Y for the normal-form odd characteristic with three
-    leading (1,1) columns: (a) the displayed expansion of the z_1
-    derivative holds with residual slope >= 3, and (b) for each j >= 4 the
-    combination
+    """On the slice Y = {tau_jk = 0 for 4 <= j < k, tau_1j = tau_2j = tau_3j
+    for j >= 4} for the normal-form odd characteristic with three leading
+    (1,1) columns: (a) the z_1 derivative minus prod(f) times its leading
+    model grad_leading(3, g, 1) has residual slope >= 3, and (b) for each
+    j >= 4 the combination
 
         d_{z_j}theta - phi_j * u * tau_1j * (d_{z_1}+d_{z_2}+d_{z_3}) theta
 
@@ -258,52 +253,36 @@ def gradient_locus_check(g, t, rng, rel_tol=0.05, theta_tol=DEFAULT_TOL,
     if ladder is None:
         ladder = default_ladder()
     weights = _random_weights(rng, g)
-    grads = {}
+    model = grad_leading(3, g, 1)
+    js = range(4, g + 1)
+    residuals, combos = [], {j: [] for j in js}
     for eps in ladder:
-        tau = _slice_y_tau(t, weights, eps)
-        grads[eps] = (gradient(m, tau, tol=theta_tol), tau)
-    reports = []
-    coeffs = []
-    # (a) residual of the z_1 expansion model
-    residuals = []
-    for eps in ladder:
-        grad, tau = grads[eps]
-        e = tau.entries
-        model = prod_f * (
-            U * e[1, 2]
-            + U**2 * phis[0] * e[0, 1] * e[0, 2]
-            + U**2 * sum(phis[j - 1] * e[0, j - 1] ** 2 for j in range(4, g + 1))
-        )
-        residuals.append(abs(grad[0] - model))
-    # the residual's higher-order terms carry large constants; fit its
+        # tau_12, tau_13, tau_23 and each tau_1j = tau_2j = tau_3j: weights * eps
+        offdiag = {(1, 2): weights[0] * eps, (1, 3): weights[1] * eps,
+                   (2, 3): weights[2] * eps}
+        offdiag.update(((a, j), weights[j - 1] * eps) for j in js for a in (1, 2, 3))
+        grad = gradient(m, _near_diagonal(t, offdiag), tol=theta_tol)
+        residuals.append(abs(grad[0] - prod_f * evaluate(model, t, offdiag, 3,
+                                                          tol=theta_tol)))
+        for j in js:
+            combos[j].append(grad[j - 1] - phis[j - 1] * U * offdiag[1, j]
+                             * (grad[0] + grad[1] + grad[2]))
+    # (a) the residual's higher-order terms carry large constants; fit its
     # slope on the asymptotic tail of the ladder
-    reports.append(
-        fit_slope(ladder[-4:], residuals[-4:], target_order=3,
-                  comparison="at_least")
-    )
+    reports = [fit_slope(ladder[-4:], residuals[-4:], target_order=3,
+                         comparison="at_least")]
+    coeffs = []
     # (b) the decisive combination for each j >= 4
-    for j in range(4, g + 1):
-        combo_values = []
-        for eps in ladder:
-            grad, tau = grads[eps]
-            t1j = tau.entries[0, j - 1]
-            combo = grad[j - 1] - phis[j - 1] * U * t1j * (grad[0] + grad[1] + grad[2])
-            combo_values.append(combo)
-        reports.append(
-            fit_slope(ladder, [abs(v) for v in combo_values], target_order=3,
-                      comparison="equal")
-        )
-        eps = ladder[-1]
-        t1j = grads[eps][1].entries[0, j - 1]
-        measured = combo_values[-1] / (prod_f * U**3 * t1j**3)
-        coeffs.append(
-            CoefficientCheck(
-                "psi_%d - 2 phi_%d^2" % (j, j),
-                complex(measured),
-                complex(psis[j - 1] - 2 * phis[j - 1] ** 2),
-                rel_tol,
-            )
-        )
+    for j in js:
+        reports.append(fit_slope(ladder, [abs(v) for v in combos[j]], target_order=3,
+                                 comparison="equal"))
+        t1j = weights[j - 1] * ladder[-1]
+        coeffs.append(CoefficientCheck(
+            "psi_%d - 2 phi_%d^2" % (j, j),
+            complex(combos[j][-1] / (prod_f * U**3 * t1j**3)),
+            complex(psis[j - 1] - 2 * phis[j - 1] ** 2),
+            rel_tol,
+        ))
     return SliceCheckResult("gradient_locus_slice", tuple(reports), tuple(coeffs))
 
 
@@ -318,20 +297,6 @@ def _random_weights(rng, g):
 # Hessian minor identities (l = 2)
 
 
-def _slice_z_tau(t, weights, eps, tau12):
-    """Period matrix on the slice {tau_jk = 0 for 3 <= j < k,
-    tau_1j = tau_2j for 3 <= j}, with tau_1j = weights[j-1] * eps and the
-    given tau_12."""
-    g = len(t)
-    tau = np.diag(np.asarray(t, dtype=complex))
-    tau[0, 1] = tau[1, 0] = tau12
-    for j in range(3, g + 1):
-        v = weights[j - 1] * eps
-        tau[0, j - 1] = tau[j - 1, 0] = v
-        tau[1, j - 1] = tau[j - 1, 1] = v
-    return PeriodMatrix(tau)
-
-
 NEWTON_MAX_PASSES = 40
 
 
@@ -339,8 +304,13 @@ def newton_onto(chars, tau, coords, theta_tol=DEFAULT_TOL):
     """Gauss-Newton toward theta_m = 0 for all m of chars: minimum-norm lstsq
     steps in the 1-based coordinates (j, k) of coords alone, one tau_jet pass
     each, until all |theta_m| < theta_tol, the pass's certified error; returns
-    (tau, gradients at tau, passes).  ValueError after NEWTON_MAX_PASSES."""
+    (tau, gradients at tau, passes).  ValueError for a coordinate given
+    twice, as (j, k) or (k, j), and after NEWTON_MAX_PASSES."""
     rows, cols = _tau_index(tau.g, coords)
+    unordered = [(min(j, k), max(j, k)) for j, k in zip(rows + 1, cols + 1)]
+    for i, pair in enumerate(unordered):
+        if pair in unordered[:i]:
+            raise ValueError("tau coordinate (%d, %d) given twice" % pair)
     for passes in range(1, NEWTON_MAX_PASSES + 1):
         values, grads = tau_jet(tau, chars, theta_tol)
         if np.abs(values).max() < theta_tol:
@@ -357,12 +327,14 @@ def newton_onto(chars, tau, coords, theta_tol=DEFAULT_TOL):
 
 
 def impose_thetanull(m, t, weights, eps, phis, theta_tol=DEFAULT_TOL):
-    """(tau, d theta_m / d tau at tau): tau on the slice Z with theta_m = 0,
-    solved for tau_12 by newton_onto from the expansion's leading term."""
-    tau12 = -U * sum(phis[j - 1] * (weights[j - 1] * eps) ** 2
-                     for j in range(3, len(t) + 1))
-    tau, grads, _ = newton_onto([m], _slice_z_tau(t, weights, eps, tau12), [(1, 2)],
-                                theta_tol)
+    """(tau, d theta_m / d tau at tau): tau on the slice Z = {tau_jk = 0 for
+    3 <= j < k, tau_1j = tau_2j = weights[j-1] * eps for j >= 3} with
+    theta_m = 0, solved for tau_12 by newton_onto from the expansion's
+    leading term."""
+    tau1 = {j: weights[j - 1] * eps for j in range(3, len(t) + 1)}
+    offdiag = {(a, j): v for j, v in tau1.items() for a in (1, 2)}
+    offdiag[1, 2] = -U * sum(phis[j - 1] * v ** 2 for j, v in tau1.items())
+    tau, grads, _ = newton_onto([m], _near_diagonal(t, offdiag), [(1, 2)], theta_tol)
     return tau, grads[0]
 
 
@@ -401,23 +373,29 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
         ladder = (
             [2.0**-k for k in range(4, 8)] if which == "D12jk" else default_ladder()
         )
+    pairs = list(itertools.combinations(range(4, g + 1), 2))
+    if which == "D12jk" and not pairs:
+        return SliceCheckResult("minor_D12jk", (), ())
+    # one theta-null solve per ladder point; every minor is read from it
+    solves = []
+    for eps in ladder:
+        w = weights
+        if which == "D12jk":
+            # in the paper's regime the principal-minor equations force
+            # tau_1j = O(eps^2) for j >= 4
+            w = weights.copy()
+            w[3:] *= eps
+        tau, grad = impose_thetanull(m, t, w, eps, phis, theta_tol)
+        solves.append((tau, grad * (2j * np.pi) / prod_f))  # (1,2) entry 1 + O(eps^2)
     reports = []
     coeffs = []
-    if which in ("D123", "D12jj"):
-        # one theta-null solve per ladder point; every principal minor with
-        # rows/cols (1,2,j) (D123) or (1,2,3,j) (D12jj) is read from it
+    if which != "D12jk":
+        # the principal minors with rows/cols (1,2,j) (D123) or (1,2,3,j) (D12jj)
         lead = [0, 1] if which == "D123" else [0, 1, 2]
-        js = range(len(lead) + 1, g + 1)
-        minors = {j: [] for j in js}
-        for eps in ladder:
-            _, grad = impose_thetanull(m, t, weights, eps, phis, theta_tol)
-            M = grad * (2j * np.pi) / prod_f  # (1,2) entry 1 + O(eps^2)
-            for j in js:
-                idx = lead + [j - 1]
-                minors[j].append(np.linalg.det(M[np.ix_(idx, idx)]))
         eps = ladder[-1]
-        for j in js:
-            values = minors[j]
+        for j in range(len(lead) + 1, g + 1):
+            idx = lead + [j - 1]
+            values = [np.linalg.det(M[np.ix_(idx, idx)]) for _, M in solves]
             tau1j = weights[j - 1] * eps
             if which == "D123":
                 order = 2
@@ -435,7 +413,7 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
                                      target_order=order, comparison="equal"))
             coeffs.append(CoefficientCheck(label, complex(measured),
                                            complex(expected), rel_tol))
-    else:  # D12jk
+    else:
         # The tau_jk-dependence of the minor with rows (1,2,3,j) and
         # columns (1,2,3,k), expanded along the last row, enters through
         # the bracket [j,k,1,2] = u^2 (tau_jk tau_12 + tau_1j tau_2k +
@@ -449,31 +427,17 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
         # the *total* tau_jk-derivative of the determinant at the
         # theta-null point is proportional to the vanishing null residual
         # and is of higher order; the module verifies the stated route.
-        for j in range(4, g + 1):
-            for k in range(j + 1, g + 1):
-                derivs = []
-                expected_vals = []
-                for eps in ladder:
-                    # in the paper's regime the principal-minor equations
-                    # force tau_1j = O(eps^2) for j >= 4
-                    wq = weights.copy()
-                    wq[3:] *= eps
-                    tau, grad = impose_thetanull(m, t, wq, eps, phis, theta_tol)
-                    d123 = np.linalg.det(grad[:3, :3] * (2j * np.pi) / prod_f)
-                    tau12, tau13 = tau.entries[0, 1:3]
-                    derivs.append(phis[j - 1] * phis[k - 1] * U**2 * tau12 * d123)
-                    expected_vals.append(
-                        -phis[j - 1] * phis[k - 1] * phis[2] * U**3 * tau13**2 * d123
-                    )
-                reports.append(fit_slope(ladder, [abs(v) for v in derivs],
-                                         target_order=4, comparison="equal"))
-                coeffs.append(
-                    CoefficientCheck(
-                        "dD_{%d%d}/dtau_%d%d (leading-bracket route) vs "
-                        "-phi_%d phi_%d phi_3 u^3 tau_13^2 D123" % (j, k, j, k, j, k),
-                        complex(derivs[-1]),
-                        complex(expected_vals[-1]),
-                        rel_tol,
-                    )
-                )
+        d123 = [np.linalg.det(M[:3, :3]) for _, M in solves]
+        for j, k in pairs:
+            derivs = [phis[j - 1] * phis[k - 1] * U**2 * tau.entries[0, 1] * d
+                      for (tau, _), d in zip(solves, d123)]
+            tau13 = solves[-1][0].entries[0, 2]
+            expected = -phis[j - 1] * phis[k - 1] * phis[2] * U**3 * tau13**2 * d123[-1]
+            reports.append(fit_slope(ladder, [abs(v) for v in derivs],
+                                     target_order=4, comparison="equal"))
+            coeffs.append(CoefficientCheck(
+                "dD_{%d%d}/dtau_%d%d (leading-bracket route) vs "
+                "-phi_%d phi_%d phi_3 u^3 tau_13^2 D123" % (j, k, j, k, j, k),
+                complex(derivs[-1]), complex(expected), rel_tol,
+            ))
     return SliceCheckResult("minor_%s" % which, tuple(reports), tuple(coeffs))

@@ -16,7 +16,8 @@ from thetadiag.chars import (
     is_even,
     special_fundamental_system,
 )
-from thetadiag.expand import bind_symbols, default_ladder
+from thetadiag.expand import (bind_symbols, default_ladder, evaluate, grad_leading,
+                              offdiag_of)
 from thetadiag.loci import (
     MINOR_CHECKS,
     even_scale,
@@ -383,6 +384,40 @@ class TestGradientLocusSlice:
         with pytest.raises(ValueError):
             gradient_locus_check(3, [1j] * 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("g, seed", [(4, 0), (4, 1), (5, 0), (5, 1)])
+    def test_grad_leading_is_the_typed_out_slice_model(self, g, seed):
+        # on slice Y (tau_1j = tau_2j = tau_3j, tau_jk = 0 for j, k >= 4) the
+        # leading terms of d_{z_1}theta are u tau_23 + u^2 phi_1 tau_12 tau_13
+        # + u^2 sum_{j>=4} phi_j tau_1j^2, times prod(f)
+        rng = np.random.default_rng(seed)
+        t = sample_generic_diagonal(g, 3, rng)
+        fs, phis, _ = bind_symbols(t, 3)
+        prod_f = np.prod(fs)
+        weights = loci._random_weights(rng, g)
+        u, model = loci.U, grad_leading(3, g, 1)
+        for eps in default_ladder():
+            d = {(1, 2): weights[0] * eps, (1, 3): weights[1] * eps,
+                 (2, 3): weights[2] * eps}
+            d.update(((a, j), weights[j - 1] * eps) for j in range(4, g + 1)
+                     for a in (1, 2, 3))
+            e = loci._near_diagonal(t, d).entries
+            typed = prod_f * (u * e[1, 2] + u**2 * phis[0] * e[0, 1] * e[0, 2]
+                              + u**2 * sum(phis[j - 1] * e[0, j - 1] ** 2
+                                           for j in range(4, g + 1)))
+            derived = prod_f * evaluate(model, t, offdiag_of(e), 3)
+            assert abs(derived - typed) <= 1e-15 * abs(typed)
+
+
+def test_near_diagonal_inverts_offdiag_of():
+    rng = np.random.default_rng(3)
+    g = 5
+    t = sample_generic_diagonal(g, 0, rng)
+    d = {(a, b): complex(*rng.uniform(-0.1, 0.1, size=2))
+         for a in range(1, g + 1) for b in range(a + 1, g + 1)}
+    tau = loci._near_diagonal(t, d)
+    assert offdiag_of(tau.entries) == d
+    assert tau.entries.diagonal().tolist() == list(np.asarray(t, dtype=complex))
+
 
 class TestMinorIdentities:
     @pytest.mark.parametrize("g", (4, 5))
@@ -404,8 +439,9 @@ class TestMinorIdentities:
         with pytest.raises(ValueError):
             minor_identity_check(4, [1j] * 4, "D999", np.random.default_rng(0))
 
-    def test_d12jj_solves_once_per_ladder_point(self, monkeypatch):
-        # every (1,2,3,j) minor at a ladder point comes from one solve
+    @staticmethod
+    def _solved_at(monkeypatch, g, which):
+        """The ladder points of every impose_thetanull call, and the result."""
         solved_at = []
 
         def counting(m, t, weights, eps, *args, **kwargs):
@@ -414,10 +450,21 @@ class TestMinorIdentities:
 
         monkeypatch.setattr(loci, "impose_thetanull", counting)
         rng = np.random.default_rng(14)
-        t = sample_generic_diagonal(5, 2, rng)
-        result = minor_identity_check(5, t, "D12jj", rng)
+        t = sample_generic_diagonal(g, 2, rng)
+        return solved_at, minor_identity_check(g, t, which, rng)
+
+    def test_d12jj_solves_once_per_ladder_point(self, monkeypatch):
+        # every (1,2,3,j) minor at a ladder point comes from one solve
+        solved_at, result = self._solved_at(monkeypatch, 5, "D12jj")
         assert solved_at == default_ladder()
         assert len(result.slope_reports) == 2  # j = 4, 5
+
+    @pytest.mark.parametrize("g", (4, 5))
+    def test_d12jk_solves_once_per_ladder_point(self, monkeypatch, g):
+        # every pair j < k reads one solve per point; g = 4 has no pair
+        solved_at, result = self._solved_at(monkeypatch, g, "D12jk")
+        assert solved_at == ([2.0**-k for k in range(4, 8)] if g == 5 else [])
+        assert len(result.slope_reports) == (g == 5)  # (j, k) = (4, 5)
 
     def test_impose_thetanull_sums_one_lattice_per_iteration(self, monkeypatch):
         # each Newton iteration reads theta and its tau-gradient from one
@@ -485,6 +532,12 @@ class TestNewtonOnto:
     @pytest.mark.parametrize("coords", [[(0, 1)], [(1, 2), (5, 1)]])
     def test_coords_out_of_range(self, coords):
         with pytest.raises(ValueError, match="out of range"):
+            newton_onto([_m0(4)], PeriodMatrix.diagonal([1j] * 4), coords)
+
+    @pytest.mark.parametrize("coords", [[(1, 2), (2, 1)], [(1, 2), (3, 4), (1, 2)]])
+    def test_repeated_coordinate_rejected(self, coords):
+        # a repeat would make the lstsq step skip one of its two half-steps
+        with pytest.raises(ValueError, match=r"\(1, 2\) given twice"):
             newton_onto([_m0(4)], PeriodMatrix.diagonal([1j] * 4), coords)
 
     def test_pass_cap(self, monkeypatch):
