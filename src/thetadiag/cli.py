@@ -40,6 +40,13 @@ class UsageError(Exception):
     """Malformed input: reported on stderr with exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse error is a UsageError: one line on stderr, exit code 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 class ChildLost(Exception):
     """A forked check process ended without a result: reported on stderr
     with exit code 1."""
@@ -233,7 +240,7 @@ def _slice_checks(result):
 def _theta_remainder_checks(g, rng, ls, directions, tol, ladder=None):
     checks = []
     for l in ls:
-        t = theta.sample_generic_diagonal(g, l, rng)
+        t = theta.sample_generic_diagonal(g, l, rng, tol)
         checks.extend(
             _report_check("theta remainder l=%d direction=%d" % (l, d),
                           expand.theta_remainder_report(g, l, t, rng, ladder=ladder,
@@ -263,14 +270,15 @@ def _hess_minor_checks(g, rng, names, ladder=None):
     return checks
 
 
-def _tridiagonal_check(g, t):
+def _tridiagonal_check(g, t, tol):
     return _report_check("tridiagonal tangent space",
-                         loci.tridiagonal_tangent_check(g, t), drop=("witness",))
+                         loci.tridiagonal_tangent_check(g, t, theta_tol=tol),
+                         drop=("witness",))
 
 
-def _random_block_product(g, rng):
+def _random_block_product(g, rng, tol):
     """A point of H_1 x H_{g-1} with a generic off-diagonal lower block."""
-    t = theta.sample_generic_diagonal(g, 2, rng)
+    t = theta.sample_generic_diagonal(g, 2, rng, tol)
     tau = np.diag(np.asarray(t, dtype=complex))
     for a in range(1, g):
         for b in range(a + 1, g):
@@ -278,17 +286,25 @@ def _random_block_product(g, rng):
     return theta.PeriodMatrix(tau)
 
 
-def _rank_class_check(g, blocks):
+def _rank_class_check(g, blocks, tol):
     """The normal-form l=2 theta-null vanishes with Hessian rank at most 2
     at every point of H_1 x H_{g-1} in `blocks`."""
     m0 = expand.normal_form(2, g)
-    nulls, ranks = zip(*(loci.thetanull_rank_class(b, m0) for b in blocks))
+    nulls, ranks = zip(*(loci.thetanull_rank_class(b, m0, theta_tol=tol)
+                         for b in blocks))
     passed = all(nulls) and max(ranks) <= 2
     if len(blocks) == 1:
         return _check("theta-null rank class at the block point", passed,
                       is_null=nulls[0], rank=ranks[0])
     return _check("theta-null rank class on H_1 x H_%d" % (g - 1), passed,
                   all_null=all(nulls), worst_rank=max(ranks))
+
+
+def _detector_check(label, verdict, **detail):
+    """A locus detector's entry: its verdict, then detail, its vanishing
+    threshold and one witness row per tested characteristic."""
+    return _check(label, True, verdict=verdict.verdict, **detail, vanish_tol=verdict.tol,
+                  witness=[dict(row) for row in verdict.witness])
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +386,7 @@ def _cmd_expand_verify(args, rng):
 
 def _cmd_grad_verify(args, rng):
     _require_genus(args.g, 3, theta.MAX_NUMERIC_GENUS)
-    t = theta.sample_generic_diagonal(args.g, 3, rng)
+    t = theta.sample_generic_diagonal(args.g, 3, rng, args.tol)
     checks = _gradient_remainder_checks(args.g, t, rng, range(1, args.g + 1),
                                         args.directions, args.tol, ladder=args.ladder)
     if args.g >= 4:
@@ -385,57 +401,49 @@ def _cmd_hess_minor(args, rng):
 
 
 def _cmd_loci_test(args, rng):
-    checks = []
+    tol = args.tol
     if args.tau:
         tau = _load_tau(args)
         _require_genus(tau.g, 1, theta.MAX_NUMERIC_GENUS)
+        digest = hashlib.sha256(np.ascontiguousarray(tau.entries).tobytes())
         try:
-            v = loci.is_diagonal_orbit(tau, tol=args.tol)
-            digest = hashlib.sha256(np.ascontiguousarray(tau.entries).tobytes())
-            checks.append(_check("diagonal-orbit detector", True, verdict=v.verdict,
-                                 tau_digest=digest.hexdigest()[:16]))
-            for g1 in range(1, tau.g):
-                v = loci.is_product_orbit(tau, g1, tol=args.tol)
-                checks.append(_check("product-orbit detector split %d+%d"
-                                     % (g1, tau.g - g1), True, verdict=v.verdict))
-            v = loci.hyperelliptic_vanishing_test(tau, tol=args.tol)
+            checks = [_detector_check("diagonal-orbit detector",
+                                      loci.is_diagonal_orbit(tau, theta_tol=tol),
+                                      tau_digest=digest.hexdigest()[:16])]
+            checks += [_detector_check("product-orbit detector split %d+%d"
+                                       % (g1, tau.g - g1),
+                                       loci.is_product_orbit(tau, g1, theta_tol=tol))
+                       for g1 in range(1, tau.g)]
+            checks.append(_detector_check(
+                "hyperelliptic vanishing detector",
+                loci.hyperelliptic_vanishing_test(tau, theta_tol=tol)))
         except ValueError as exc:  # e.g. the lattice point budget
             raise UsageError(str(exc))
-        checks.append(_check("hyperelliptic vanishing detector", True,
-                             verdict=v.verdict))
         return checks
     g = args.g
     _require_genus(g, 2, theta.MAX_NUMERIC_GENUS)
-    t = theta.sample_generic_diagonal(g, 2, rng)
+    t = theta.sample_generic_diagonal(g, 2, rng, tol)
     diag = theta.PeriodMatrix.diagonal(t)
-    checks.append(
-        _check("diagonal point is in the diagonal orbit",
-               loci.is_diagonal_orbit(diag).verdict)
-    )
+    checks = [_check("diagonal point is in the diagonal orbit",
+                     loci.is_diagonal_orbit(diag, theta_tol=tol).verdict)]
     direction = np.zeros((g, g), dtype=complex)
     direction[0, 1] = direction[1, 0] = 1j
     perturbed = diag.perturbed(direction, 0.05)
-    checks.append(
-        _check("perturbed diagonal point leaves the diagonal orbit",
-               not loci.is_diagonal_orbit(perturbed).verdict)
-    )
-    for g1 in range(1, g):
-        checks.append(
-            _check("diagonal point is in every product orbit (split %d+%d)"
-                   % (g1, g - g1), loci.is_product_orbit(diag, g1).verdict)
-        )
-    block = _random_block_product(g, rng)
-    checks.append(
-        _check("H_1 x H_%d block point is in the 1+%d product orbit"
-               % (g - 1, g - 1), loci.is_product_orbit(block, 1).verdict)
-    )
-    checks.append(_rank_class_check(g, [block]))
-    checks.append(
-        _check("hyperelliptic vanishing along the diagonal",
-               loci.hyperelliptic_vanishing_test(diag).verdict)
-    )
+    checks.append(_check("perturbed diagonal point leaves the diagonal orbit",
+                         not loci.is_diagonal_orbit(perturbed, theta_tol=tol).verdict))
+    checks += [_check("diagonal point is in every product orbit (split %d+%d)"
+                      % (g1, g - g1),
+                      loci.is_product_orbit(diag, g1, theta_tol=tol).verdict)
+               for g1 in range(1, g)]
+    block = _random_block_product(g, rng, tol)
+    checks.append(_check("H_1 x H_%d block point is in the 1+%d product orbit"
+                         % (g - 1, g - 1),
+                         loci.is_product_orbit(block, 1, theta_tol=tol).verdict))
+    checks.append(_rank_class_check(g, [block], tol))
+    checks.append(_check("hyperelliptic vanishing along the diagonal",
+                         loci.hyperelliptic_vanishing_test(diag, theta_tol=tol).verdict))
     if g >= 3:
-        checks.append(_tridiagonal_check(g, t))
+        checks.append(_tridiagonal_check(g, t, tol))
     return checks
 
 
@@ -448,7 +456,7 @@ def _theta_numeric_checks(g, rng, n_samples, tol):
     odd = chars.enumerate_characteristics(g, parity_filter=chars.ODD)
     evens = chars.enumerate_characteristics(g, parity_filter=chars.EVEN)
     for _ in range(n_samples):
-        t = theta.sample_generic_diagonal(g, 0, rng)
+        t = theta.sample_generic_diagonal(g, 0, rng, tol)
         tau = theta.PeriodMatrix.diagonal(t).perturbed(
             expand.random_offdiagonal_direction(g, rng), 0.1
         )
@@ -607,22 +615,22 @@ def _cmd_report_all(args, rng):
                                           [l for l in (2, 4) if l <= args.g],
                                           3, args.tol, ladder=args.ladder)
         if args.g >= 3:
-            t = theta.sample_generic_diagonal(args.g, 3, rng)
+            t = theta.sample_generic_diagonal(args.g, 3, rng, args.tol)
             checks += _gradient_remainder_checks(args.g, t, rng, (1, args.g), 3,
                                                  args.tol, ladder=args.ladder)
             # tridiagonal tangent spaces
-            checks.append(_tridiagonal_check(
-                args.g, theta.sample_generic_diagonal(args.g, 0, rng)))
+            t = theta.sample_generic_diagonal(args.g, 0, rng, args.tol)
+            checks.append(_tridiagonal_check(args.g, t, args.tol))
         # gradient-locus slice, theta-null rank class and Hessian minors
         if args.g >= 4:
-            t = theta.sample_generic_diagonal(args.g, 3, rng)
+            t = theta.sample_generic_diagonal(args.g, 3, rng, args.tol)
             checks += _gradient_locus_checks(args.g, t, rng, args.tol,
                                              ladder=args.ladder)
-            blocks = [_random_block_product(args.g, rng) for _ in range(5)]
-            with _forked(_rank_class_check, args.g, blocks) as rank_class_check:
+            blocks = [_random_block_product(args.g, rng, args.tol) for _ in range(5)]
+            with _forked(_rank_class_check, args.g, blocks, args.tol) as rank_class:
                 minors = _hess_minor_checks(args.g, rng, loci.MINOR_CHECKS,
                                             ladder=args.ladder)
-                checks.append(rank_class_check())
+                checks.append(rank_class())
             checks += minors
         return exact_checks() + checks
 
@@ -632,66 +640,67 @@ def _cmd_report_all(args, rng):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thetadiag",
         description="verification jobs for theta characteristic machinery",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--g": dict(type=int, default=4),
+        "--seed": dict(type=int, default=0),
+        "--tol": dict(type=_parse_tol, default=theta.DEFAULT_TOL,
+                      help="truncation tolerance of the theta sums"),
+        "--ladder": dict(type=_parse_ladder, default=None,
+                         help="epsilon ladder, e.g. 2^-3..2^-9"),
+        "--out": dict(default=None, help="report path (default stdout)"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+    }
 
-    def common(p, g_default=4):
-        p.add_argument("--g", type=int, default=g_default)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=_parse_tol, default=theta.DEFAULT_TOL)
-        p.add_argument("--ladder", type=_parse_ladder, default=None,
-                       help="epsilon ladder, e.g. 2^-3..2^-9")
-        p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def command(name, func, help, *options):
+        """A subcommand taking the shared options named, then --out and
+        --format, each under its whole name only; its report's seed and tol
+        are null unless it takes them."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func, seed=None, tol=None)
+        for option in options + ("--out", "--format"):
+            p.add_argument(option, **shared[option])
+        return p
 
-    p = sub.add_parser("char", help="classify characteristics")
+    p = command("char", _cmd_char, "classify characteristics")
     p.add_argument("action", choices=("classify",))
     p.add_argument("characteristics", nargs="+")
-    common(p)
-    p.set_defaults(func=_cmd_char)
 
-    p = sub.add_parser("orbit", help="orbit enumeration against expected counts")
+    p = command("orbit", _cmd_orbit, "orbit enumeration against expected counts", "--g")
+    p.set_defaults(g=3)
     p.add_argument("--group", choices=sorted(symp.GENERATOR_SETS), default="Gg")
     p.add_argument("--seed-char", default=None)
-    common(p, g_default=3)
-    p.set_defaults(func=_cmd_orbit)
 
-    p = sub.add_parser("theta-eval", help="evaluate one theta value")
+    p = command("theta-eval", _cmd_theta_eval, "evaluate one theta value", "--tol")
     p.add_argument("--tau", required=True, help="period matrix JSON file")
     p.add_argument("--char", required=True)
     p.add_argument("--z", default=None)
     p.add_argument("--deriv", default=None, help="multi-index, e.g. 1,0,0,0")
-    common(p)
-    p.set_defaults(func=_cmd_theta_eval)
 
-    p = sub.add_parser("expand-verify", help="theta expansion remainder slopes")
+    p = command("expand-verify", _cmd_expand_verify, "theta expansion remainder slopes",
+                "--g", "--seed", "--tol", "--ladder")
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--directions", type=_parse_directions, default=10)
-    common(p)
-    p.set_defaults(func=_cmd_expand_verify)
 
-    p = sub.add_parser("grad-verify", help="gradient expansion and slice checks")
+    p = command("grad-verify", _cmd_grad_verify, "gradient expansion and slice checks",
+                "--g", "--seed", "--tol", "--ladder")
     p.add_argument("--directions", type=_parse_directions, default=10)
-    common(p)
-    p.set_defaults(func=_cmd_grad_verify)
 
-    p = sub.add_parser("hess-minor", help="Hessian minor identity checks")
+    p = command("hess-minor", _cmd_hess_minor, "Hessian minor identity checks",
+                "--g", "--seed", "--ladder")
+    p.set_defaults(tol=loci.MINOR_THETA_TOL)  # the checks fix their own
     p.add_argument("--which", choices=loci.MINOR_CHECKS, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_hess_minor)
 
-    p = sub.add_parser("loci-test", help="locus detectors on canonical points")
+    p = command("loci-test", _cmd_loci_test, "locus detectors on canonical points",
+                "--g", "--seed", "--tol")
     p.add_argument("--tau", default=None, help="optional period matrix JSON file")
-    common(p)
-    p.set_defaults(func=_cmd_loci_test)
 
-    p = sub.add_parser("report-all", help="aggregate of every acceptance check")
-    common(p)
-    p.set_defaults(func=_cmd_report_all)
-
+    command("report-all", _cmd_report_all, "aggregate of every acceptance check",
+            "--g", "--seed", "--tol", "--ladder")
     return parser
 
 
@@ -718,7 +727,7 @@ def _write_report(report, out, fmt):
 def run(argv=None):
     parser = _build_parser()
     try:
-        # the --tol, --ladder and --directions types raise UsageError
+        # argparse and the --tol, --ladder and --directions types raise UsageError
         args = parser.parse_args(argv)
         checks = args.func(args, np.random.default_rng(args.seed))
         if not checks:

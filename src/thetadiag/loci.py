@@ -42,6 +42,7 @@ from .theta import (
 )
 
 DEFAULT_VANISH_TOL = 1e-8
+MINOR_THETA_TOL = 1e-13  # every theta pass of the Hessian minor checks
 U = 1.0 / (2j * np.pi)
 
 
@@ -341,7 +342,7 @@ def impose_thetanull(m, t, weights, eps, phis, theta_tol=DEFAULT_TOL):
 MINOR_CHECKS = ("D123", "D12jj", "D12jk")
 
 
-def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=1e-13,
+def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=MINOR_THETA_TOL,
                          ladder=None):
     """Compare Hessian minor determinants along the theta-null slice Z
     against their leading formulas.

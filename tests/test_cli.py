@@ -1,5 +1,6 @@
 """The command-line interface: schemas, exit codes, reproducibility."""
 
+import argparse
 import json
 import os
 import signal
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import thetadiag
-from thetadiag import cli, loci, symp
+from thetadiag import cli, loci, symp, theta
 from thetadiag.chars import MAX_ENUM_GENUS
 from thetadiag.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, _parse_ladder, run
 from thetadiag.theta import PeriodMatrix
@@ -50,12 +51,12 @@ REPORT_KEY_JOBS = {
 
 
 def report_keys(tmp_path, tau_file):
-    """{job: [[label, [keys of its entry, in order]], ...]} at --seed 0; the
-    --tau job reads tau_file."""
+    """{job: [[label, [keys of its entry, in order]], ...]} at the default
+    seed 0 (orbit takes no --seed); the --tau job reads tau_file."""
     keys = {}
     for job, argv in REPORT_KEY_JOBS.items():
         argv = argv + [tau_file] if argv[-1] == "--tau" else argv
-        _, report = run_json(argv + ["--seed", "0"], tmp_path)
+        _, report = run_json(argv, tmp_path)
         keys[job] = [[c["label"], list(c)] for c in report["checks"]]
     return keys
 
@@ -81,13 +82,78 @@ class TestPlumbing:
         code, report = run_json(["char", "classify", "[00;00]"], tmp_path)
         assert code == EXIT_PASS
         assert report["schema"] == 1
-        assert report["seed"] == 0
+        assert report["seed"] is None and report["tol"] is None  # char takes neither
         assert "timestamp" in report and report["pass"] is True
 
-    def test_unknown_subcommand_exits_2(self):
+    def test_unknown_subcommand_exits_2(self, capsys):
+        assert run(["no-such-command"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument command: invalid choice")
+        assert err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["no-such-command"])
-        assert exc.value.code == EXIT_USAGE
+            run(["--help"])
+        assert exc.value.code == 0
+        assert "report-all" in capsys.readouterr().out
+
+    def test_option_surface_matches_snapshot(self):
+        # each subcommand takes exactly the options it reads
+        (commands,) = [a.choices for a in cli._build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        surface = {name: sorted(a.option_strings[0] if a.option_strings else a.dest
+                                for a in p._actions
+                                if not isinstance(a, argparse._HelpAction))
+                   for name, p in commands.items()}
+        snapshot = Path(__file__).with_name("data") / "cli_options.json"
+        assert surface == json.loads(snapshot.read_text())
+
+    @pytest.mark.parametrize("argv,seed,tol", [
+        (["orbit", "--g", "2"], None, None),
+        (["theta-eval", "--char", "[000;000]", "--tol", "1e-12"], None, 1e-12),
+        (["hess-minor", "--g", "4", "--which", "D123", "--seed", "1"], 1,
+         loci.MINOR_THETA_TOL),
+        (["loci-test", "--g", "3"], 0, theta.DEFAULT_TOL),
+    ], ids=["orbit", "theta-eval", "hess-minor", "loci-test"])
+    def test_envelope_seed_and_tol(self, argv, seed, tol, tmp_path, tau_file):
+        # tol is the truncation tolerance the job's theta sums used
+        argv = argv + ["--tau", tau_file] if argv[0] == "theta-eval" else argv
+        code, report = run_json(argv, tmp_path)
+        assert code == EXIT_PASS
+        assert report["seed"] == seed and report["tol"] == tol
+
+    @pytest.mark.parametrize("argv", [["loci-test", "--g", "3"], ["loci-test", "--tau"],
+                                      ["report-all", "--g", "4"]],
+                             ids=["loci-test", "loci-test-tau", "report-all"])
+    def test_tol_reaches_every_theta_pass(self, argv, tmp_path, tau_file, monkeypatch):
+        # every lattice sum outside the Hessian minors, which fix their own
+        # tolerance, sums at --tol; inline (no fork), so that each pass is seen
+        argv = argv + [tau_file] if argv[-1] == "--tau" else argv
+        monkeypatch.delattr(os, "fork")
+        theta.f_phi_psi.cache_clear()  # a cached pass would not be seen
+        loci._even_scale.cache_clear()
+        passes = {"outside": [], "minors": []}
+        where = ["outside"]
+        jet, minors = theta._jet, cli._hess_minor_checks
+
+        def recording_jet(tau, chars, multi_indices, z, tol, max_order):
+            passes[where[-1]].append(tol)
+            return jet(tau, chars, multi_indices, z, tol, max_order)
+
+        def recording_minors(*args, **kwargs):
+            where.append("minors")
+            try:
+                return minors(*args, **kwargs)
+            finally:
+                where.pop()
+
+        monkeypatch.setattr(theta, "_jet", recording_jet)
+        monkeypatch.setattr(cli, "_hess_minor_checks", recording_minors)
+        code, report = run_json(argv + ["--tol", "1e-12"], tmp_path)
+        assert code == EXIT_PASS and report["tol"] == 1e-12
+        assert passes["outside"] and set(passes["outside"]) == {1e-12}
+        if argv[0] == "report-all":
+            assert loci.MINOR_THETA_TOL in passes["minors"]
 
 
 class TestChar:
@@ -264,10 +330,25 @@ class TestVerificationJobs:
         assert all(set(points) <= ladder for points in fitted)
 
     def test_loci_test_with_tau(self, tmp_path, tau_file):
-        code, report = run_json(["loci-test", "--tau", tau_file], tmp_path)
+        # each detector reports its witness table; the vanishing threshold
+        # is the detectors' default, whatever --tol is
+        code, report = run_json(["loci-test", "--tau", tau_file, "--tol", "1e-12"],
+                                tmp_path)
         assert code == EXIT_PASS
-        labels = [c["label"] for c in report["checks"]]
-        assert any("diagonal-orbit" in x for x in labels)
+        tau = PeriodMatrix(np.diag([1.0j, 1.2j, 1.5j]))
+        verdicts = ([loci.is_diagonal_orbit(tau, theta_tol=1e-12)]
+                    + [loci.is_product_orbit(tau, g1, theta_tol=1e-12) for g1 in (1, 2)]
+                    + [loci.hyperelliptic_vanishing_test(tau, theta_tol=1e-12)])
+        assert [c["label"] for c in report["checks"]] == [
+            "diagonal-orbit detector", "product-orbit detector split 1+2",
+            "product-orbit detector split 2+1", "hyperelliptic vanishing detector"]
+        for check, verdict in zip(report["checks"], verdicts):
+            assert check["vanish_tol"] == loci.DEFAULT_VANISH_TOL
+            assert check["verdict"] is verdict.verdict is True
+            assert check["witness"] == [dict(row) for row in verdict.witness]
+        rows = report["checks"][-1]["witness"]
+        assert {row["required"] for row in rows} == {True, False}
+        assert all(row["vanished"] for row in rows if row["required"])
 
     @pytest.mark.parametrize("command", [
         ["theta-eval", "--char", "[0;0]"],
@@ -351,12 +432,32 @@ class TestInputContract:
         assert capsys.readouterr().err == "error: hess-minor produced no checks at g=4\n"
 
     @pytest.mark.parametrize("argv", [["loci-test", "--g", "3"],
-                                      ["hess-minor", "--g", "4", "--which", "D123"]])
+                                      ["report-all", "--g", "4"]])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5", "abc"])
     def test_bad_tolerance(self, argv, tol, capsys):
         assert run(argv + ["--tol", tol]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "tolerance" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,option", [
+        ("char", "--g"), ("char", "--seed"), ("char", "--tol"), ("char", "--ladder"),
+        ("orbit", "--seed"), ("orbit", "--tol"), ("orbit", "--ladder"),
+        ("theta-eval", "--g"), ("theta-eval", "--seed"), ("theta-eval", "--ladder"),
+        ("hess-minor", "--tol"), ("loci-test", "--ladder"),
+    ])
+    def test_option_the_subcommand_does_not_take(self, command, option, capsys):
+        # an option no job of the subcommand reads cannot be given and ignored
+        argv = {"char": ["char", "classify", "[00;00]"],
+                "orbit": ["orbit", "--g", "2"],
+                "theta-eval": ["theta-eval", "--tau", "tau.json", "--char", "[000;000]"],
+                "hess-minor": ["hess-minor", "--g", "4", "--which", "D123"],
+                "loci-test": ["loci-test", "--g", "3"]}[command]
+        value = {"--g": "3", "--seed": "1", "--tol": "1e-12",
+                 "--ladder": "2^-3..2^-6"}[option]
+        assert run(argv + [option, value]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert err == "error: unrecognized arguments: %s %s\n" % (option, value)
+        assert not out
 
 
 class TestFormatsAndReproducibility:

@@ -1,6 +1,7 @@
 """Locus detectors and theorem verifiers on canonical and random points."""
 
 import itertools
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -423,7 +424,7 @@ class TestMinorIdentities:
     @pytest.mark.parametrize("g", (4, 5))
     @pytest.mark.parametrize("which", MINOR_CHECKS)
     def test_minor_checks_pass(self, g, which):
-        rng = np.random.default_rng(hash((g, which)) % 2**31)
+        rng = np.random.default_rng(zlib.crc32(("%d %s" % (g, which)).encode()))
         t = sample_generic_diagonal(g, 2, rng)
         result = minor_identity_check(g, t, which, rng)
         assert result.passed, result
