@@ -3,7 +3,9 @@
 Each subcommand assembles a report dictionary with a versioned schema
 ("schema": 1), the seed used, and one entry per check; the process exits 0
 iff all checks pass, 1 if any check fails (or a forked check process of
-report-all ends without a result), and 2 on malformed input.
+report-all ends without a result, or stdout is closed before the report is
+written), and 2 on malformed input (an --out that cannot be written
+included).
 
 Randomness: all random draws flow through numpy's default_rng (PCG64),
 seeded from --seed, so identical job configurations reproduce identical
@@ -17,6 +19,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -112,39 +115,6 @@ def _forked(fn, *args):
             os.waitpid(pid, 0)
 
 
-def _parse_ladder(text):
-    """Parse "2^-3..2^-9" or a comma-separated list of floats."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-
-        def _power(s):
-            s = s.strip()
-            if s.startswith("2^"):
-                return int(s[2:])
-            raise UsageError("ladder bounds must look like 2^-3")
-
-        a, b = _power(lo), _power(hi)
-        if a < b:
-            a, b = b, a
-        try:
-            ladder = [2.0**k for k in range(a, b - 1, -1)]
-        except OverflowError:
-            raise UsageError("ladder bounds out of range: %r" % text)
-    else:
-        try:
-            ladder = [float(x) for x in text.split(",")]
-        except ValueError:
-            raise UsageError("cannot parse ladder %r" % text)
-    if len(ladder) < 2:
-        raise UsageError("a ladder needs at least two points: %r" % text)
-    if not all(math.isfinite(e) and e > 0 for e in ladder):
-        raise UsageError("ladder points must be finite and positive: %r" % text)
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise UsageError("ladder must be strictly decreasing: %r" % text)
-    return ladder
-
-
 def _parse_tol(text):
     try:
         tol = float(text)
@@ -237,36 +207,35 @@ def _slice_checks(result):
 # check builders, shared by the subcommands and report-all
 
 
-def _theta_remainder_checks(g, rng, ls, directions, tol, ladder=None):
+def _theta_remainder_checks(g, rng, ls, directions, tol):
     checks = []
     for l in ls:
         t = theta.sample_generic_diagonal(g, l, rng, tol)
         checks.extend(
             _report_check("theta remainder l=%d direction=%d" % (l, d),
-                          expand.theta_remainder_report(g, l, t, rng, ladder=ladder,
-                                                        tol=tol))
+                          expand.theta_remainder_report(g, l, t, rng, tol=tol))
             for d in range(directions))
     return checks
 
 
-def _gradient_remainder_checks(g, t, rng, a_values, directions, tol, ladder=None):
+def _gradient_remainder_checks(g, t, rng, a_values, directions, tol):
     return [_report_check("gradient remainder a=%d direction=%d" % (a, d),
-                          expand.gradient_remainder_report(g, 3, a, t, rng,
-                                                           ladder=ladder, tol=tol))
+                          expand.gradient_remainder_report(g, 3, a, t, rng, tol=tol))
             for a in a_values for d in range(directions)]
 
 
-def _gradient_locus_checks(g, t, rng, tol, ladder=None):
-    return _slice_checks(loci.gradient_locus_check(g, t, rng, theta_tol=tol,
-                                                   ladder=ladder))
+def _gradient_locus_checks(g, t, rng, tol):
+    return _slice_checks(loci.gradient_locus_check(g, t, rng, theta_tol=tol))
 
 
-def _hess_minor_checks(g, rng, names, ladder=None):
+def _hess_minor_checks(g, rng, names):
+    """The minor checks named; each draws its diagonal point at
+    loci.MINOR_THETA_TOL, the tolerance of all its theta sums, so the draw's
+    genus-1 symbols are the ones the check binds."""
     checks = []
     for name in names:
-        t = theta.sample_generic_diagonal(g, 2, rng)
-        checks += _slice_checks(loci.minor_identity_check(g, t, name, rng,
-                                                          ladder=ladder))
+        t = theta.sample_generic_diagonal(g, 2, rng, loci.MINOR_THETA_TOL)
+        checks += _slice_checks(loci.minor_identity_check(g, t, name, rng))
     return checks
 
 
@@ -380,24 +349,23 @@ def _cmd_expand_verify(args, rng):
     if args.l and (not 2 <= args.l <= args.g or args.l % 2):
         raise UsageError("need even l with 2 <= l <= g")
     ls = [args.l] if args.l else [l for l in (2, 4) if l <= args.g]
-    return _theta_remainder_checks(args.g, rng, ls, args.directions, args.tol,
-                                   ladder=args.ladder)
+    return _theta_remainder_checks(args.g, rng, ls, args.directions, args.tol)
 
 
 def _cmd_grad_verify(args, rng):
     _require_genus(args.g, 3, theta.MAX_NUMERIC_GENUS)
     t = theta.sample_generic_diagonal(args.g, 3, rng, args.tol)
     checks = _gradient_remainder_checks(args.g, t, rng, range(1, args.g + 1),
-                                        args.directions, args.tol, ladder=args.ladder)
+                                        args.directions, args.tol)
     if args.g >= 4:
-        checks += _gradient_locus_checks(args.g, t, rng, args.tol, ladder=args.ladder)
+        checks += _gradient_locus_checks(args.g, t, rng, args.tol)
     return checks
 
 
 def _cmd_hess_minor(args, rng):
-    _require_genus(args.g, 4, 5)
+    _require_genus(args.g, 4, theta.MAX_NUMERIC_GENUS)
     which = [args.which] if args.which else list(loci.MINOR_CHECKS)
-    return _hess_minor_checks(args.g, rng, which, ladder=args.ladder)
+    return _hess_minor_checks(args.g, rng, which)
 
 
 def _cmd_loci_test(args, rng):
@@ -613,23 +581,21 @@ def _cmd_report_all(args, rng):
         # expansion orders
         checks += _theta_remainder_checks(args.g, rng,
                                           [l for l in (2, 4) if l <= args.g],
-                                          3, args.tol, ladder=args.ladder)
+                                          3, args.tol)
         if args.g >= 3:
             t = theta.sample_generic_diagonal(args.g, 3, rng, args.tol)
             checks += _gradient_remainder_checks(args.g, t, rng, (1, args.g), 3,
-                                                 args.tol, ladder=args.ladder)
+                                                 args.tol)
             # tridiagonal tangent spaces
             t = theta.sample_generic_diagonal(args.g, 0, rng, args.tol)
             checks.append(_tridiagonal_check(args.g, t, args.tol))
         # gradient-locus slice, theta-null rank class and Hessian minors
         if args.g >= 4:
             t = theta.sample_generic_diagonal(args.g, 3, rng, args.tol)
-            checks += _gradient_locus_checks(args.g, t, rng, args.tol,
-                                             ladder=args.ladder)
+            checks += _gradient_locus_checks(args.g, t, rng, args.tol)
             blocks = [_random_block_product(args.g, rng, args.tol) for _ in range(5)]
             with _forked(_rank_class_check, args.g, blocks, args.tol) as rank_class:
-                minors = _hess_minor_checks(args.g, rng, loci.MINOR_CHECKS,
-                                            ladder=args.ladder)
+                minors = _hess_minor_checks(args.g, rng, loci.MINOR_CHECKS)
                 checks.append(rank_class())
             checks += minors
         return exact_checks() + checks
@@ -650,8 +616,6 @@ def _build_parser():
         "--seed": dict(type=int, default=0),
         "--tol": dict(type=_parse_tol, default=theta.DEFAULT_TOL,
                       help="truncation tolerance of the theta sums"),
-        "--ladder": dict(type=_parse_ladder, default=None,
-                         help="epsilon ladder, e.g. 2^-3..2^-9"),
         "--out": dict(default=None, help="report path (default stdout)"),
         "--format": dict(choices=("json", "csv"), default="json"),
     }
@@ -682,16 +646,16 @@ def _build_parser():
     p.add_argument("--deriv", default=None, help="multi-index, e.g. 1,0,0,0")
 
     p = command("expand-verify", _cmd_expand_verify, "theta expansion remainder slopes",
-                "--g", "--seed", "--tol", "--ladder")
+                "--g", "--seed", "--tol")
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--directions", type=_parse_directions, default=10)
 
     p = command("grad-verify", _cmd_grad_verify, "gradient expansion and slice checks",
-                "--g", "--seed", "--tol", "--ladder")
+                "--g", "--seed", "--tol")
     p.add_argument("--directions", type=_parse_directions, default=10)
 
     p = command("hess-minor", _cmd_hess_minor, "Hessian minor identity checks",
-                "--g", "--seed", "--ladder")
+                "--g", "--seed")
     p.set_defaults(tol=loci.MINOR_THETA_TOL)  # the checks fix their own
     p.add_argument("--which", choices=loci.MINOR_CHECKS, default=None)
 
@@ -700,55 +664,65 @@ def _build_parser():
     p.add_argument("--tau", default=None, help="optional period matrix JSON file")
 
     command("report-all", _cmd_report_all, "aggregate of every acceptance check",
-            "--g", "--seed", "--tol", "--ladder")
+            "--g", "--seed", "--tol")
     return parser
 
 
 def _write_report(report, out, fmt):
+    """Write the report to the file out, or to stdout (flushed) when out is
+    None; a file that cannot be written is a UsageError."""
     if fmt == "json":
-        text = json.dumps(report, indent=2)
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return
-    rows = [["label", "pass", "detail"]]
-    for entry in report["checks"]:
-        detail = {k: v for k, v in entry.items() if k not in ("label", "pass")}
-        rows.append([entry["label"], entry["pass"], json.dumps(detail)])
-    if out:
-        with open(out, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        text = json.dumps(report, indent=2) + "\n"
     else:
-        csv.writer(sys.stdout).writerows(rows)
+        rows = [["label", "pass", "detail"]]
+        for entry in report["checks"]:
+            detail = {k: v for k, v in entry.items() if k not in ("label", "pass")}
+            rows.append([entry["label"], entry["pass"], json.dumps(detail)])
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(rows)
+        text = buffer.getvalue()
+    if not out:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return
+    try:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write report to %s: %s" % (out, exc.strerror or exc))
 
 
 def run(argv=None):
     parser = _build_parser()
     try:
-        # argparse and the --tol, --ladder and --directions types raise UsageError
+        # argparse and the --tol and --directions types raise UsageError
         args = parser.parse_args(argv)
         checks = args.func(args, np.random.default_rng(args.seed))
         if not checks:
             raise UsageError("%s produced no checks at g=%d" % (args.command, args.g))
+        report = {
+            "schema": SCHEMA_VERSION,
+            "command": args.command,
+            "g": args.g,
+            "seed": args.seed,
+            "tol": args.tol,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "checks": checks,
+            "pass": all(c["pass"] for c in checks),
+        }
+        _write_report(report, args.out, args.format)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ChildLost as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_FAIL
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": args.command,
-        "g": args.g,
-        "seed": args.seed,
-        "tol": args.tol,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
-    _write_report(report, args.out, args.format)
+    except BrokenPipeError:
+        # stdout's reader has gone; stdout becomes devnull, so that the
+        # flush at interpreter exit does not fail on the same pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed by its reader", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 

@@ -420,7 +420,7 @@ def normal_form(l, g):
     return Characteristic((1,) * l + (0,) * (g - l), (1,) * l + (0,) * (g - l))
 
 
-def _remainder_report(g, l, t, rng, lead, value, order, ladder, tol):
+def _remainder_report(g, l, t, rng, lead, value, order, tol):
     """Slope of value(m, tau) - prod(f) * lead along a random off-diagonal
     ray from diag(t), for the normal-form characteristic m with l leading
     (1,1) columns; the remainder must vanish to order at least `order`."""
@@ -433,22 +433,20 @@ def _remainder_report(g, l, t, rng, lead, value, order, ladder, tol):
         model = prod_f * evaluate(lead, t, offdiag_of(tau.entries), l, tol=tol)
         return value(m, tau) - model
 
-    return vanishing_order(target, base, direction, ladder=ladder,
-                           target_order=order, comparison="at_least",
-                           tail=4)
+    return vanishing_order(target, base, direction, target_order=order,
+                           comparison="at_least", tail=4)
 
 
-def theta_remainder_report(g, l, t, rng, ladder=None, tol=theta_mod.DEFAULT_TOL):
+def theta_remainder_report(g, l, t, rng, tol=theta_mod.DEFAULT_TOL):
     """Slope of theta_m - prod(f) * (X_l + Y_l) along a random off-diagonal
     ray from diag(t), for the normal-form even characteristic with l leading
     (1,1) columns; the remainder has order at least s + 2 with s = l/2."""
     return _remainder_report(
         g, l, t, rng, theta_leading(l, g),
-        lambda m, tau: theta_mod.eval_theta(m, tau, tol=tol), l // 2 + 2, ladder, tol)
+        lambda m, tau: theta_mod.eval_theta(m, tau, tol=tol), l // 2 + 2, tol)
 
 
-def gradient_remainder_report(g, l, a, t, rng, ladder=None,
-                              tol=theta_mod.DEFAULT_TOL):
+def gradient_remainder_report(g, l, a, t, rng, tol=theta_mod.DEFAULT_TOL):
     """Slope of the z_a-gradient of theta minus its leading expansion along
     a random off-diagonal ray from diag(t), for the normal-form odd
     characteristic (l odd); order at least s + 2 for a <= l and s + 3 for
@@ -457,4 +455,4 @@ def gradient_remainder_report(g, l, a, t, rng, ladder=None,
     return _remainder_report(
         g, l, t, rng, grad_leading(l, g, a),
         lambda m, tau: theta_mod.gradient(m, tau, tol=tol)[a - 1],
-        s + 2 if a <= l else s + 3, ladder, tol)
+        s + 2 if a <= l else s + 3, tol)

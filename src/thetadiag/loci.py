@@ -19,6 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import theta
 from .chars import (
     EVEN,
     ODD,
@@ -166,8 +167,8 @@ def tridiagonal_tangent_check(g, t, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TO
     its largest entry) only at the off-diagonal entry (j1, j3); the joint
     kernel of these linear forms must be the tridiagonal matrices, of
     dimension 2g - 1."""
-    if not 3 <= g <= 5:
-        raise ValueError("need 3 <= g <= 5")
+    if not 3 <= g <= theta.MAX_NUMERIC_GENUS:
+        raise ValueError("need 3 <= g <= %d" % theta.MAX_NUMERIC_GENUS)
     fs = special_fundamental_system(g)
     triples = list(itertools.combinations(range(1, g + 1), 3))
     chars = [fs.odds[j1 - 1] + fs.odds[j2 - 1] + fs.odds[j3 - 1]
@@ -234,8 +235,7 @@ def _near_diagonal(t, offdiag):
     return PeriodMatrix(tau)
 
 
-def gradient_locus_check(g, t, rng, rel_tol=0.05, theta_tol=DEFAULT_TOL,
-                         ladder=None):
+def gradient_locus_check(g, t, rng, rel_tol=0.05, theta_tol=DEFAULT_TOL):
     """On the slice Y = {tau_jk = 0 for 4 <= j < k, tau_1j = tau_2j = tau_3j
     for j >= 4} for the normal-form odd characteristic with three leading
     (1,1) columns: (a) the z_1 derivative minus prod(f) times its leading
@@ -246,13 +246,12 @@ def gradient_locus_check(g, t, rng, rel_tol=0.05, theta_tol=DEFAULT_TOL,
 
     (u = 1/(2 pi i)) vanishes to order 3 along the ray with leading
     coefficient prod(f) * u^3 * (psi_j - 2 phi_j^2) * tau_1j^3."""
-    if not 4 <= g <= 5:
-        raise ValueError("need 4 <= g <= 5")
+    if not 4 <= g <= theta.MAX_NUMERIC_GENUS:
+        raise ValueError("need 4 <= g <= %d" % theta.MAX_NUMERIC_GENUS)
     m = normal_form(3, g)
     fs, phis, psis = bind_symbols(t, 3, tol=theta_tol)
     prod_f = np.prod(fs)
-    if ladder is None:
-        ladder = default_ladder()
+    ladder = default_ladder()
     weights = _random_weights(rng, g)
     model = grad_leading(3, g, 1)
     js = range(4, g + 1)
@@ -342,8 +341,7 @@ def impose_thetanull(m, t, weights, eps, phis, theta_tol=DEFAULT_TOL):
 MINOR_CHECKS = ("D123", "D12jj", "D12jk")
 
 
-def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=MINOR_THETA_TOL,
-                         ladder=None):
+def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=MINOR_THETA_TOL):
     """Compare Hessian minor determinants along the theta-null slice Z
     against their leading formulas.
 
@@ -368,12 +366,8 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=MINOR_THETA_T
     fs, phis, psis = bind_symbols(t, 2, tol=theta_tol)
     prod_f = np.prod(fs)
     weights = _random_weights(rng, g)
-    if ladder is None:
-        # D12jk keeps the ladder 2^-4..2^-7 of its recorded reports; the
-        # default ladder passes as well
-        ladder = (
-            [2.0**-k for k in range(4, 8)] if which == "D12jk" else default_ladder()
-        )
+    # D12jk keeps the ladder 2^-4..2^-7 of its recorded reports
+    ladder = [2.0**-k for k in range(4, 8)] if which == "D12jk" else default_ladder()
     pairs = list(itertools.combinations(range(4, g + 1), 2))
     if which == "D12jk" and not pairs:
         return SliceCheckResult("minor_D12jk", (), ())

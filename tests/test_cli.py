@@ -1,6 +1,7 @@
 """The command-line interface: schemas, exit codes, reproducibility."""
 
 import argparse
+import importlib.util
 import json
 import os
 import signal
@@ -14,7 +15,7 @@ import pytest
 import thetadiag
 from thetadiag import cli, loci, symp, theta
 from thetadiag.chars import MAX_ENUM_GENUS
-from thetadiag.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, _parse_ladder, run
+from thetadiag.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
 from thetadiag.theta import PeriodMatrix
 
 
@@ -29,6 +30,13 @@ def tau_file(tmp_path):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def cli_process(argv, **kwargs):
+    """subprocess.run of `python -m thetadiag.cli` with argv."""
+    src = str(Path(thetadiag.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "thetadiag.cli"] + argv,
+                          env=dict(os.environ, PYTHONPATH=src), **kwargs)
 
 
 def run_json(argv, tmp_path, name="report.json"):
@@ -62,22 +70,6 @@ def report_keys(tmp_path, tau_file):
 
 
 class TestPlumbing:
-    def test_ladder_power_syntax(self):
-        assert _parse_ladder("2^-3..2^-5") == [0.125, 0.0625, 0.03125]
-
-    def test_ladder_list_syntax(self):
-        assert _parse_ladder("0.1,0.05") == [0.1, 0.05]
-
-    def test_ladder_rejects_garbage(self):
-        with pytest.raises(cli.UsageError):
-            _parse_ladder("3^-1..3^-2")
-
-    @pytest.mark.parametrize("text", ["0.1,0.2", "0.1,0.1", "0.1,-0.05", "0.1,nan",
-                                      "inf,0.1", "0.1", "2^-3..2^-3", "2^2000..2^1"])
-    def test_ladder_rejects_bad_values(self, text):
-        with pytest.raises(cli.UsageError):
-            _parse_ladder(text)
-
     def test_report_envelope(self, tmp_path):
         code, report = run_json(["char", "classify", "[00;00]"], tmp_path)
         assert code == EXIT_PASS
@@ -96,6 +88,20 @@ class TestPlumbing:
             run(["--help"])
         assert exc.value.code == 0
         assert "report-all" in capsys.readouterr().out
+
+    def test_benchmark_jobs_parse(self, monkeypatch):
+        # every command line of perfbench/run.py, at every seed of its pool,
+        # is one the parser takes
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))  # run.py imports spans
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        perfbench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(perfbench)
+        parser = cli._build_parser()
+        for kind, (argv, _) in perfbench.JOB_KINDS.items():
+            for seed in perfbench.SEED_POOLS[kind]:
+                args = parser.parse_args(argv + ["--seed", str(seed)])
+                assert args.command == argv[0] and args.seed == seed
 
     def test_option_surface_matches_snapshot(self):
         # each subcommand takes exactly the options it reads
@@ -126,8 +132,9 @@ class TestPlumbing:
                                       ["report-all", "--g", "4"]],
                              ids=["loci-test", "loci-test-tau", "report-all"])
     def test_tol_reaches_every_theta_pass(self, argv, tmp_path, tau_file, monkeypatch):
-        # every lattice sum outside the Hessian minors, which fix their own
-        # tolerance, sums at --tol; inline (no fork), so that each pass is seen
+        # every lattice sum outside the Hessian minors sums at --tol, and
+        # every one inside them, their draws included, at the minors' own
+        # tolerance; inline (no fork), so that each pass is seen
         argv = argv + [tau_file] if argv[-1] == "--tau" else argv
         monkeypatch.delattr(os, "fork")
         theta.f_phi_psi.cache_clear()  # a cached pass would not be seen
@@ -153,7 +160,7 @@ class TestPlumbing:
         assert code == EXIT_PASS and report["tol"] == 1e-12
         assert passes["outside"] and set(passes["outside"]) == {1e-12}
         if argv[0] == "report-all":
-            assert loci.MINOR_THETA_TOL in passes["minors"]
+            assert set(passes["minors"]) == {loci.MINOR_THETA_TOL}
 
 
 class TestChar:
@@ -319,16 +326,6 @@ class TestVerificationJobs:
         assert code == EXIT_PASS
         assert len(calls) == 3 and len(set(map(id, calls))) == 3
 
-    def test_report_all_passes_the_ladder(self, tmp_path):
-        ladder = set(_parse_ladder("2^-3..2^-8"))
-        code, report = run_json(["report-all", "--g", "4", "--seed", "0",
-                                 "--ladder", "2^-3..2^-8"], tmp_path)
-        assert code == EXIT_PASS
-        fitted = [c["epsilon_ladder"] for c in report["checks"]
-                  if "epsilon_ladder" in c]
-        assert len(fitted) == 17
-        assert all(set(points) <= ladder for points in fitted)
-
     def test_loci_test_with_tau(self, tmp_path, tau_file):
         # each detector reports its witness table; the vanishing threshold
         # is the detectors' default, whatever --tol is
@@ -413,11 +410,6 @@ class TestInputContract:
         assert run(["loci-test", "--tau", str(path)]) == EXIT_USAGE
         assert "budget" in capsys.readouterr().err
 
-    def test_increasing_ladder(self, capsys):
-        code = run(["grad-verify", "--g", "4", "--ladder", "0.1,0.2"])
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: ladder must be strictly decreasing")
-
     @pytest.mark.parametrize("argv", [
         ["expand-verify", "--g", "4", "--directions", "0"],
         ["grad-verify", "--g", "4", "--directions", "-1"],
@@ -425,6 +417,40 @@ class TestInputContract:
     def test_direction_count_below_one(self, argv, capsys):
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "error: need at least one direction: %r\n" % argv[-1]
+
+    def test_genus_cap_is_read_when_called(self, monkeypatch, capsys):
+        # each numeric range ends at theta.MAX_NUMERIC_GENUS, whatever it is
+        monkeypatch.setattr(theta, "MAX_NUMERIC_GENUS", 4)
+        t = [1.1j, 1.2j, 1.3j, 1.4j, 1.5j]
+        with pytest.raises(ValueError, match=r"^need 3 <= g <= 4$"):
+            loci.tridiagonal_tangent_check(5, t)
+        with pytest.raises(ValueError, match=r"^need 4 <= g <= 4$"):
+            loci.gradient_locus_check(5, t, np.random.default_rng(0))
+        assert run(["hess-minor", "--g", "5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: need 4 <= g <= 4\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_out(self, fmt, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        proc = cli_process(["char", "classify", "[11;11]", "--format", fmt,
+                            "--out", str(out)], capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE and not proc.stdout
+        assert proc.stderr == ("error: cannot write report to %s: "
+                               "No such file or directory\n" % out)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_closed_stdout(self, fmt):
+        # a reader that has gone costs one line, and no second one from the
+        # flush at interpreter exit
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = cli_process(["char", "classify", "[11;11]", "--format", fmt],
+                               stdout=write_fd, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_fd)
+        assert proc.returncode == EXIT_FAIL
+        assert proc.stderr == "error: stdout was closed by its reader\n"
 
     def test_job_without_checks(self, capsys):
         # g=4 has no pair 4 <= j < k <= g for the D12jk minors
@@ -444,6 +470,8 @@ class TestInputContract:
         ("orbit", "--seed"), ("orbit", "--tol"), ("orbit", "--ladder"),
         ("theta-eval", "--g"), ("theta-eval", "--seed"), ("theta-eval", "--ladder"),
         ("hess-minor", "--tol"), ("loci-test", "--ladder"),
+        ("expand-verify", "--ladder"), ("grad-verify", "--ladder"),
+        ("hess-minor", "--ladder"), ("report-all", "--ladder"),
     ])
     def test_option_the_subcommand_does_not_take(self, command, option, capsys):
         # an option no job of the subcommand reads cannot be given and ignored
@@ -451,7 +479,10 @@ class TestInputContract:
                 "orbit": ["orbit", "--g", "2"],
                 "theta-eval": ["theta-eval", "--tau", "tau.json", "--char", "[000;000]"],
                 "hess-minor": ["hess-minor", "--g", "4", "--which", "D123"],
-                "loci-test": ["loci-test", "--g", "3"]}[command]
+                "loci-test": ["loci-test", "--g", "3"],
+                "expand-verify": ["expand-verify", "--g", "4", "--seed", "0"],
+                "grad-verify": ["grad-verify", "--g", "4"],
+                "report-all": ["report-all", "--g", "4"]}[command]
         value = {"--g": "3", "--seed": "1", "--tol": "1e-12",
                  "--ladder": "2^-3..2^-6"}[option]
         assert run(argv + [option, value]) == EXIT_USAGE
