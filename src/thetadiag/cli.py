@@ -248,11 +248,9 @@ def _tridiagonal_check(g, t, tol):
 def _random_block_product(g, rng, tol):
     """A point of H_1 x H_{g-1} with a generic off-diagonal lower block."""
     t = theta.sample_generic_diagonal(g, 2, rng, tol)
-    tau = np.diag(np.asarray(t, dtype=complex))
-    for a in range(1, g):
-        for b in range(a + 1, g):
-            tau[a, b] = tau[b, a] = 0.1 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-    return theta.PeriodMatrix(tau)
+    offdiag = {(a, b): 0.1 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
+               for a in range(2, g + 1) for b in range(a + 1, g + 1)}
+    return loci._near_diagonal(t, offdiag)
 
 
 def _rank_class_check(g, blocks, tol):
@@ -293,7 +291,7 @@ def _cmd_char(args, rng):
 
 def _cmd_orbit(args, rng):
     _require_genus(args.g, 1, chars.MAX_ENUM_GENUS)
-    if args.seed_char:
+    if args.seed_char is not None:
         m = _parse_char(args.seed_char)
         if m.g != args.g:
             raise UsageError("seed characteristic genus does not match --g")
@@ -325,9 +323,9 @@ def _cmd_theta_eval(args, rng):
     m = _parse_char(args.char)
     if m.g != tau.g:
         raise UsageError("characteristic genus does not match the period matrix")
-    z = _parse_complex_vector(args.z) if args.z else None
+    z = _parse_complex_vector(args.z) if args.z is not None else None
     deriv = None
-    if args.deriv:
+    if args.deriv is not None:
         try:
             deriv = tuple(int(x) for x in args.deriv.split(","))
         except ValueError:
@@ -346,9 +344,9 @@ def _cmd_theta_eval(args, rng):
 
 def _cmd_expand_verify(args, rng):
     _require_genus(args.g, 2, theta.MAX_NUMERIC_GENUS)
-    if args.l and (not 2 <= args.l <= args.g or args.l % 2):
+    if args.l is not None and (not 2 <= args.l <= args.g or args.l % 2):
         raise UsageError("need even l with 2 <= l <= g")
-    ls = [args.l] if args.l else [l for l in (2, 4) if l <= args.g]
+    ls = [args.l] if args.l is not None else [l for l in (2, 4) if l <= args.g]
     return _theta_remainder_checks(args.g, rng, ls, args.directions, args.tol)
 
 
@@ -370,7 +368,7 @@ def _cmd_hess_minor(args, rng):
 
 def _cmd_loci_test(args, rng):
     tol = args.tol
-    if args.tau:
+    if args.tau is not None:
         tau = _load_tau(args)
         _require_genus(tau.g, 1, theta.MAX_NUMERIC_GENUS)
         digest = hashlib.sha256(np.ascontiguousarray(tau.entries).tobytes())
@@ -417,7 +415,8 @@ def _cmd_loci_test(args, rng):
 
 def _theta_numeric_checks(g, rng, n_samples, tol):
     """Spot checks of the theta evaluator: odd symmetry in z, block
-    factorization, the diagonal product formula, and the heat equation."""
+    factorization, the diagonal product formula, and the heat equation in
+    one off-diagonal and one diagonal tau entry."""
     checks = []
     z = np.linspace(0.1, 0.3, g)  # real, so the radius is that of z = 0
     worst = {"parity": 0.0, "factorization": 0.0, "diagonal": 0.0, "heat": 0.0}
@@ -456,17 +455,19 @@ def _theta_numeric_checks(g, rng, n_samples, tol):
         worst["diagonal"] = max(
             worst["diagonal"], abs(theta.eval_theta(m, diag, tol=tol) - prod)
         )
-        # heat equation against a finite difference in tau
-        j, k = sorted(rng.choice(g, size=2, replace=False) + 1)
+        # heat equation against finite differences in tau_jk and tau_jj
+        j, k = sorted(rng.choice(g, size=2, replace=False))
+        grad = theta.tau_gradient(m, tau, tol=tol)
         h = 1e-4
-        direction = np.zeros((g, g), dtype=complex)
-        direction[j - 1, k - 1] = direction[k - 1, j - 1] = 1.0
-        fd = (
-            theta.eval_theta(m, tau.perturbed(direction, h), tol=tol)
-            - theta.eval_theta(m, tau.perturbed(direction, -h), tol=tol)
-        ) / (2 * h)
-        an = theta.tau_derivative(m, tau, (int(j), int(k)), tol=tol)
-        worst["heat"] = max(worst["heat"], abs(fd - an) / max(abs(an), 1e-30))
+        for a, b in ((j, k), (j, j)):
+            direction = np.zeros((g, g), dtype=complex)
+            direction[a, b] = direction[b, a] = 1.0
+            fd = (
+                theta.eval_theta(m, tau.perturbed(direction, h), tol=tol)
+                - theta.eval_theta(m, tau.perturbed(direction, -h), tol=tol)
+            ) / (2 * h)
+            an = grad[a, b]
+            worst["heat"] = max(worst["heat"], abs(fd - an) / max(abs(an), 1e-30))
     checks.append(_check("odd theta constants vanish", worst["parity"] < 1e-8,
                          worst_abs=worst["parity"], samples=n_samples))
     checks.append(_check("block factorization", worst["factorization"] < 1e-8,
@@ -681,7 +682,7 @@ def _write_report(report, out, fmt):
         buffer = io.StringIO()
         csv.writer(buffer).writerows(rows)
         text = buffer.getvalue()
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         sys.stdout.flush()
         return

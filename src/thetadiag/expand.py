@@ -350,11 +350,10 @@ def default_ladder():
     return [2.0**-k for k in range(3, 10)]
 
 
-def fit_slope(ladder, magnitudes, target_order, tolerance=DEFAULT_SLOPE_TOL,
-              comparison="equal"):
-    """Least-squares log-log slope of |value| against epsilon.  Exact zeros
-    are left out of the fit, and it needs two others unless every magnitude
-    is below ZERO_RAY_FLOOR (a zero ray, with no slope fitted)."""
+def fit_slope(ladder, magnitudes, target_order, comparison="equal"):
+    """Least-squares log-log slope of |value| against epsilon, held to
+    DEFAULT_SLOPE_TOL.  Exact zeros are left out; it needs two others unless
+    every magnitude is below ZERO_RAY_FLOOR (a zero ray, no slope fitted)."""
     ladder = [float(e) for e in ladder]
     magnitudes = [float(abs(v)) for v in magnitudes]
     if len(ladder) != len(magnitudes):
@@ -367,7 +366,7 @@ def fit_slope(ladder, magnitudes, target_order, tolerance=DEFAULT_SLOPE_TOL,
     if all(v < ZERO_RAY_FLOOR for v in magnitudes):
         return SlopeReport(
             tuple(ladder), tuple(magnitudes), float("nan"), float(target_order),
-            float(tolerance), comparison, True,
+            float(DEFAULT_SLOPE_TOL), comparison, True,
         )
     points = [(e, v) for e, v in zip(ladder, magnitudes) if v > 0]
     if len(points) < 2:
@@ -376,13 +375,13 @@ def fit_slope(ladder, magnitudes, target_order, tolerance=DEFAULT_SLOPE_TOL,
     slope = float(np.polyfit(xs, ys, 1)[0])
     return SlopeReport(
         tuple(ladder), tuple(magnitudes), slope, float(target_order),
-        float(tolerance), comparison, False,
+        float(DEFAULT_SLOPE_TOL), comparison, False,
     )
 
 
-def vanishing_order(target, base, direction, ladder=None, target_order=1.0,
-                    tolerance=DEFAULT_SLOPE_TOL, comparison="equal", tail=None):
-    """SlopeReport for |target(base + eps * direction)| along the ladder.
+def vanishing_order(target, base, direction, target_order=1.0, comparison="equal",
+                    tail=None):
+    """SlopeReport for |target(base + eps * direction)| along default_ladder().
 
     `target` maps a PeriodMatrix to a complex number; `direction` is a
     symmetric matrix, normalized here to unit max-entry.  With `tail` set,
@@ -397,12 +396,11 @@ def vanishing_order(target, base, direction, ladder=None, target_order=1.0,
     if peak == 0:
         raise ValueError("direction must be nonzero")
     direction = direction / peak
-    if ladder is None:
-        ladder = default_ladder()
+    ladder = default_ladder()
     values = [abs(target(base.perturbed(direction, eps))) for eps in ladder]
     if tail is not None:
         ladder, values = ladder[-tail:], values[-tail:]
-    return fit_slope(ladder, values, target_order, tolerance, comparison)
+    return fit_slope(ladder, values, target_order, comparison)
 
 
 def random_offdiagonal_direction(g, rng):

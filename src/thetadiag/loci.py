@@ -4,10 +4,10 @@ gradient-locus slice computation, and the Hessian minor identities.  The
 slice-Y model of the z_1 derivative is expand.grad_leading(3, g, 1).
 
 All vanishing tests are relative: a theta constant counts as zero when it
-is below tol times the largest even theta constant at the same point.  Every
-characteristic a detector tests is even, so the detectors read their
-constants from the batch that gives that scale: each period matrix and
-theta tolerance costs one batch of even theta constants (even_scale).
+is below DEFAULT_VANISH_TOL times the largest even theta constant at the
+same point.  Every characteristic a detector tests is even, so the
+detectors read their constants from the batch that gives that scale: each
+period matrix and theta tolerance costs one batch (even_scale).
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .theta import (
     theta_constants_batch,
 )
 
-DEFAULT_VANISH_TOL = 1e-8
+DEFAULT_VANISH_TOL = 1e-8  # vanishing, relative to the even scale
+COEFF_REL_TOL = 0.05  # a slice check's leading coefficient, relative
 MINOR_THETA_TOL = 1e-13  # every theta pass of the Hessian minor checks
 U = 1.0 / (2j * np.pi)
 
@@ -75,27 +76,27 @@ def _even_scale(tau, theta_tol):
     return max(abs(v) for v in values.values()), MappingProxyType(values)
 
 
-def _vanishing_witness(values, ms, scale, tol, *extra):
-    """Witness rows (characteristic, |theta|, *extra, vanished) for ms, where
-    vanished means below tol times scale, and whether every one vanished."""
+def _vanishing_witness(values, ms, scale, *extra):
+    """Witness rows (characteristic, |theta|, *extra, vanished) for ms, and
+    whether all vanished: were below DEFAULT_VANISH_TOL times scale."""
     rows = tuple(
         (("characteristic", m.compact()), ("abs_value", abs(values[m])))
-        + extra + (("vanished", abs(values[m]) < tol * scale),)
+        + extra + (("vanished", abs(values[m]) < DEFAULT_VANISH_TOL * scale),)
         for m in ms
     )
     return rows, all(row[-1][1] for row in rows)
 
 
-def is_diagonal_orbit(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
+def is_diagonal_orbit(tau, *, theta_tol=DEFAULT_TOL):
     """True iff every even theta constant with a (1,1) column vanishes
     relative to the largest even theta constant."""
     scale, values = even_scale(tau, theta_tol)
     ms = sorted((m for m in values if scalar_class(m)), key=Characteristic.compact)
-    witness, verdict = _vanishing_witness(values, ms, scale, tol)
-    return LocusVerdict("diagonal_orbit", witness, tol, verdict)
+    witness, verdict = _vanishing_witness(values, ms, scale)
+    return LocusVerdict("diagonal_orbit", witness, DEFAULT_VANISH_TOL, verdict)
 
 
-def is_product_orbit(tau, g1, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
+def is_product_orbit(tau, g1, *, theta_tol=DEFAULT_TOL):
     """True iff theta vanishes at every characteristic odd on the columns of
     the first factor and odd on the others: columns 1..g1 for a whole number
     g1, or the 1-based columns in a tuple g1 ((2,) splits off column 2)."""
@@ -112,23 +113,22 @@ def is_product_orbit(tau, g1, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
              for m2 in odd2]
     # odd on one factor plus odd on the other is even
     scale, values = even_scale(tau, theta_tol)
-    witness, verdict = _vanishing_witness(values, chars, scale, tol)
+    witness, verdict = _vanishing_witness(values, chars, scale)
     split = "%d_%d" % (len(first), len(rest))
     if first != tuple(range(1, len(first) + 1)):
         split = "_".join("".join(map(str, cols)) for cols in (first, rest))
-    return LocusVerdict("product_orbit_" + split, witness, tol, verdict)
+    return LocusVerdict("product_orbit_" + split, witness, DEFAULT_VANISH_TOL, verdict)
 
 
-def thetanull_rank_class(tau, m, tol=DEFAULT_VANISH_TOL, rank_rel_tol=1e-7,
-                         theta_tol=DEFAULT_TOL):
+def thetanull_rank_class(tau, m, *, theta_tol=DEFAULT_TOL):
     """(is_null, rank): whether theta_m vanishes relative to the even scale,
     and the numerical rank of the z-Hessian of theta_m at z=0."""
     scale, _ = even_scale(tau, theta_tol)
     value, h = _value_and_hessian(m, tau, tol=theta_tol)
-    return abs(value) < tol * scale, numerical_rank(h, rank_rel_tol)
+    return abs(value) < DEFAULT_VANISH_TOL * scale, numerical_rank(h)
 
 
-def hyperelliptic_vanishing_test(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
+def hyperelliptic_vanishing_test(tau, *, theta_tol=DEFAULT_TOL):
     """True iff every theta constant indexed by the standard hyperelliptic
     vanishing set vanishes relative to the even scale.  The witness also
     records every other even constant, whose non-vanishing is not required:
@@ -137,11 +137,10 @@ def hyperelliptic_vanishing_test(tau, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_
     vanishing = hyperelliptic_vanishing_set(tau.g)
     required = sorted(vanishing, key=Characteristic.compact)
     scale, values = even_scale(tau, theta_tol)
-    witness, verdict = _vanishing_witness(values, required, scale, tol,
-                                          ("required", True))
+    witness, verdict = _vanishing_witness(values, required, scale, ("required", True))
     extra = [m for m in values if m not in vanishing]  # batch order: compact order
-    witness += _vanishing_witness(values, extra, scale, tol, ("required", False))[0]
-    return LocusVerdict("hyperelliptic_vanishing", witness, tol, verdict)
+    witness += _vanishing_witness(values, extra, scale, ("required", False))[0]
+    return LocusVerdict("hyperelliptic_vanishing", witness, DEFAULT_VANISH_TOL, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ class TridiagonalReport:
                 and self.kernel_dimension == self.expected_kernel_dimension)
 
 
-def tridiagonal_tangent_check(g, t, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TOL):
+def tridiagonal_tangent_check(g, t, *, theta_tol=DEFAULT_TOL):
     """For every triple j1<j2<j3, the tau-gradient at diag(t) of theta for
     the characteristic o_{j1}+o_{j2}+o_{j3} must be supported (relative to
     its largest entry) only at the off-diagonal entry (j1, j3); the joint
@@ -177,18 +176,18 @@ def tridiagonal_tangent_check(g, t, tol=DEFAULT_VANISH_TOL, theta_tol=DEFAULT_TO
     witness = []
     for (j1, j2, j3), m, grad in zip(triples, chars, grads):
         off = np.abs(grad)
-        scale = off.max()
+        bound = DEFAULT_VANISH_TOL * off.max()
         expected = off[j1 - 1, j3 - 1]
         off[j1 - 1, j3 - 1] = off[j3 - 1, j1 - 1] = 0.0
         spurious = off.max()
-        ok = expected > tol * scale and spurious < tol * scale
+        ok = expected > bound and spurious < bound
         witness.append(
             (("triple", (j1, j2, j3)), ("characteristic", m.compact()),
              ("support_entry", (j1, j3)), ("support_abs", float(expected)),
              ("max_spurious_abs", float(spurious)), ("pass", ok))
         )
     rows, cols = zip(*((a, b) for a in range(g) for b in range(a, g)))
-    kernel_dim = len(rows) - numerical_rank(grads[:, rows, cols], rel_tol=1e-7)
+    kernel_dim = len(rows) - numerical_rank(grads[:, rows, cols])
     return TridiagonalReport(
         g=g,
         witness=tuple(witness),
@@ -235,7 +234,7 @@ def _near_diagonal(t, offdiag):
     return PeriodMatrix(tau)
 
 
-def gradient_locus_check(g, t, rng, rel_tol=0.05, theta_tol=DEFAULT_TOL):
+def gradient_locus_check(g, t, rng, *, theta_tol=DEFAULT_TOL):
     """On the slice Y = {tau_jk = 0 for 4 <= j < k, tau_1j = tau_2j = tau_3j
     for j >= 4} for the normal-form odd characteristic with three leading
     (1,1) columns: (a) the z_1 derivative minus prod(f) times its leading
@@ -244,8 +243,8 @@ def gradient_locus_check(g, t, rng, rel_tol=0.05, theta_tol=DEFAULT_TOL):
 
         d_{z_j}theta - phi_j * u * tau_1j * (d_{z_1}+d_{z_2}+d_{z_3}) theta
 
-    (u = 1/(2 pi i)) vanishes to order 3 along the ray with leading
-    coefficient prod(f) * u^3 * (psi_j - 2 phi_j^2) * tau_1j^3."""
+    (u = 1/(2 pi i)) vanishes to order 3 along the ray with leading coefficient
+    prod(f) * u^3 * (psi_j - 2 phi_j^2) * tau_1j^3 (within COEFF_REL_TOL)."""
     if not 4 <= g <= theta.MAX_NUMERIC_GENUS:
         raise ValueError("need 4 <= g <= %d" % theta.MAX_NUMERIC_GENUS)
     m = normal_form(3, g)
@@ -281,7 +280,7 @@ def gradient_locus_check(g, t, rng, rel_tol=0.05, theta_tol=DEFAULT_TOL):
             "psi_%d - 2 phi_%d^2" % (j, j),
             complex(combos[j][-1] / (prod_f * U**3 * t1j**3)),
             complex(psis[j - 1] - 2 * phis[j - 1] ** 2),
-            rel_tol,
+            COEFF_REL_TOL,
         ))
     return SliceCheckResult("gradient_locus_slice", tuple(reports), tuple(coeffs))
 
@@ -341,9 +340,10 @@ def impose_thetanull(m, t, weights, eps, phis, theta_tol=DEFAULT_TOL):
 MINOR_CHECKS = ("D123", "D12jj", "D12jk")
 
 
-def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=MINOR_THETA_TOL):
+def minor_identity_check(g, t, which, rng):
     """Compare Hessian minor determinants along the theta-null slice Z
-    against their leading formulas.
+    against their leading formulas, within COEFF_REL_TOL; every theta pass
+    sums at MINOR_THETA_TOL.
 
     D123:  det of rows/cols (1,2,j), j >= 3, of the normalized
            tau-derivative matrix equals (2 phi_j^2 - psi_j/2) u^2 tau_1j^2
@@ -363,7 +363,7 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=MINOR_THETA_T
     if g < 4:
         raise ValueError("need g >= 4")
     m = normal_form(2, g)
-    fs, phis, psis = bind_symbols(t, 2, tol=theta_tol)
+    fs, phis, psis = bind_symbols(t, 2, tol=MINOR_THETA_TOL)
     prod_f = np.prod(fs)
     weights = _random_weights(rng, g)
     # D12jk keeps the ladder 2^-4..2^-7 of its recorded reports
@@ -380,7 +380,7 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=MINOR_THETA_T
             # tau_1j = O(eps^2) for j >= 4
             w = weights.copy()
             w[3:] *= eps
-        tau, grad = impose_thetanull(m, t, w, eps, phis, theta_tol)
+        tau, grad = impose_thetanull(m, t, w, eps, phis, MINOR_THETA_TOL)
         solves.append((tau, grad * (2j * np.pi) / prod_f))  # (1,2) entry 1 + O(eps^2)
     reports = []
     coeffs = []
@@ -407,7 +407,7 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=MINOR_THETA_T
             reports.append(fit_slope(ladder, [abs(v) for v in values],
                                      target_order=order, comparison="equal"))
             coeffs.append(CoefficientCheck(label, complex(measured),
-                                           complex(expected), rel_tol))
+                                           complex(expected), COEFF_REL_TOL))
     else:
         # The tau_jk-dependence of the minor with rows (1,2,3,j) and
         # columns (1,2,3,k), expanded along the last row, enters through
@@ -433,6 +433,6 @@ def minor_identity_check(g, t, which, rng, rel_tol=0.05, theta_tol=MINOR_THETA_T
             coeffs.append(CoefficientCheck(
                 "dD_{%d%d}/dtau_%d%d (leading-bracket route) vs "
                 "-phi_%d phi_%d phi_3 u^3 tau_13^2 D123" % (j, k, j, k, j, k),
-                complex(derivs[-1]), complex(expected), rel_tol,
+                complex(derivs[-1]), complex(expected), COEFF_REL_TOL,
             ))
     return SliceCheckResult("minor_%s" % which, tuple(reports), tuple(coeffs))

@@ -38,7 +38,8 @@ MIN_TOL = 1e-14
 # ~22 MB traced, while no test or benchmark job sums more than ~16,000.
 MAX_POINTS = 200_000
 MAX_NUMERIC_GENUS = 5
-MAX_DERIV_ORDER = 4
+MAX_DERIV_ORDER = 4  # eval_theta and eval_theta_many; the genus-1 series go to 5
+RANK_REL_TOL = 1e-7  # numerical_rank, relative to the largest singular value
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # i ** k for k mod 4
 
 
@@ -293,20 +294,16 @@ def _jet(tau, chars, multi_indices, z, tol, max_order):
     return (plus + (-1) ** orders * minus) * (2j * np.pi) ** orders
 
 
-def eval_theta(m, tau, z=None, deriv=None, tol=DEFAULT_TOL, max_order=MAX_DERIV_ORDER):
-    """theta_m(tau, z), or its z-derivative for the multi-index `deriv`.
-
-    Absolute error is below tol.  max_order caps the total derivative
-    order (default 4; the genus-1 helpers raise it to 5 internally).
-    """
+def eval_theta(m, tau, z=None, deriv=None, tol=DEFAULT_TOL):
+    """theta_m(tau, z), or its z-derivative for the multi-index `deriv` of
+    total order at most MAX_DERIV_ORDER; absolute error below tol."""
     deriv = (0,) * tau.g if deriv is None else deriv
-    return complex(_jet(tau, [m], [deriv], z, tol, max_order)[0, 0])
+    return complex(_jet(tau, [m], [deriv], z, tol, MAX_DERIV_ORDER)[0, 0])
 
 
-def eval_theta_many(m, tau, multi_indices, z=None, tol=DEFAULT_TOL,
-                    max_order=MAX_DERIV_ORDER):
+def eval_theta_many(m, tau, multi_indices, z=None, tol=DEFAULT_TOL):
     """Several z-derivatives of theta_m in a single lattice pass."""
-    return _jet(tau, [m], multi_indices, z, tol, max_order)[0].tolist()
+    return _jet(tau, [m], multi_indices, z, tol, MAX_DERIV_ORDER)[0].tolist()
 
 
 def theta_constants_batch(tau, characteristics, tol=DEFAULT_TOL):
@@ -382,15 +379,15 @@ def tau_derivative(m, tau, pair, tol=DEFAULT_TOL):
     return complex(tau_gradient(m, tau, tol=tol)[j, k])
 
 
-def numerical_rank(matrix, rel_tol=1e-7):
-    """Number of singular values above rel_tol times the largest one."""
+def numerical_rank(matrix):
+    """Number of singular values above RANK_REL_TOL times the largest one."""
     matrix = np.asarray(matrix, dtype=complex)
     if not np.isfinite(matrix).all():
         raise ValueError("matrix has non-finite entries")
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +400,8 @@ _EVEN1 = Characteristic((0,), (0,))
 
 def genus1_derivatives(m1, t, orders, tol=DEFAULT_TOL):
     """d^k/dz^k theta_{m1}(t, 0) for each k in orders (genus 1; k up to 5)."""
-    tau = PeriodMatrix([[t]])
-    return eval_theta_many(m1, tau, [(k,) for k in orders], tol=tol, max_order=5)
+    orders = [(k,) for k in orders]
+    return _jet(PeriodMatrix([[t]]), [m1], orders, None, tol, 5)[0].tolist()
 
 
 @lru_cache(maxsize=128)
@@ -426,16 +423,17 @@ def f_phi_psi(t, odd, tol=DEFAULT_TOL):
 
 
 GENERICITY_FLOOR = 1e-3
+MAX_DRAW_TRIES = 200  # per coordinate
 
 
-def sample_generic_diagonal(g, l, rng, tol=DEFAULT_TOL, max_tries=200):
+def sample_generic_diagonal(g, l, rng, tol=DEFAULT_TOL):
     """Diagonal entries t_1..t_g with Im t in [0.8, 2.0], Re t in [-0.5, 0.5],
-    redrawn per coordinate until |psi - 2 phi^2| and |4 phi^2 - psi| are
-    both above GENERICITY_FLOOR (columns 1..l are odd, the rest even)."""
+    each redrawn (at most MAX_DRAW_TRIES times) until |psi - 2 phi^2| and
+    |4 phi^2 - psi| exceed GENERICITY_FLOOR (columns 1..l odd, the rest even)."""
     t = np.zeros(g, dtype=complex)
     for a in range(g):
         odd = a < l
-        for _ in range(max_tries):
+        for _ in range(MAX_DRAW_TRIES):
             cand = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
             _, phi, psi = f_phi_psi(cand, odd, tol)
             if min(abs(psi - 2 * phi**2), abs(4 * phi**2 - psi)) > GENERICITY_FLOOR:

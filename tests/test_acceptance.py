@@ -33,6 +33,7 @@ from thetadiag.expand import (
     theta_remainder_report,
 )
 from thetadiag.loci import (
+    COEFF_REL_TOL,
     MINOR_CHECKS,
     gradient_locus_check,
     minor_identity_check,
@@ -209,16 +210,18 @@ def test_criterion_08_tridiagonal_tangent():
 
 
 def test_criterion_09_gradient_locus_slice():
+    assert COEFF_REL_TOL == 0.05
     for g in (4, 5):
         rng = np.random.default_rng(300 + g)
         for _ in range(5):
             t = sample_generic_diagonal(g, 3, rng)
-            result = gradient_locus_check(g, t, rng, rel_tol=0.05)
+            result = gradient_locus_check(g, t, rng)
             assert result.passed, (g, result)
     done(9, "slice expansions and (psi_j - 2 phi_j^2) coefficients, 5 points")
 
 
 def test_criterion_10_hessian_rank_loci():
+    assert COEFF_REL_TOL == 0.05
     for g in (4, 5):
         rng = np.random.default_rng(400 + g)
         m0 = Characteristic((1, 1) + (0,) * (g - 2), (1, 1) + (0,) * (g - 2))
@@ -236,7 +239,7 @@ def test_criterion_10_hessian_rank_loci():
             for point in range(5):
                 rng = np.random.default_rng(1000 * g + 10 * point + len(which))
                 t = sample_generic_diagonal(g, 2, rng)
-                result = minor_identity_check(g, t, which, rng, rel_tol=0.05)
+                result = minor_identity_check(g, t, which, rng)
                 assert result.passed, (g, which, point, result)
     done(10, "rank class at 20 block points; minor identities at 5 points each")
 

@@ -1,11 +1,20 @@
 """The public surface: a refactor may not drop or rename a name silently."""
 
 import dataclasses
+import importlib
+import inspect
+import json
+from pathlib import Path
+from types import FunctionType
 
+import numpy as np
 import pytest
 
 import thetadiag
-from thetadiag import Characteristic
+from thetadiag import Characteristic, expand, loci, theta
+from thetadiag.theta import PeriodMatrix
+
+LAYERS = ("chars", "symp", "theta", "expand", "loci")
 
 EXPORTS = [
     "EVEN",
@@ -67,3 +76,58 @@ def test_characteristic_is_frozen():
     with pytest.raises(AttributeError):  # slots: no per-instance dict
         m.extra = 1
     assert m == Characteristic((1, 0), (0, 1))
+
+
+def defaulted_parameters():
+    """{"module.function" or "module.Class.method": [defaulted parameters]}
+    over every public function and method (constructors included) of the
+    layer modules; tests/data/api_defaults.json is its JSON dump."""
+    surface = {}
+    for layer in LAYERS:
+        module = importlib.import_module("thetadiag." + layer)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                members = [("%s.%s" % (name, attr), getattr(obj, attr))
+                           for attr, raw in vars(obj).items()
+                           if (attr == "__init__" or not attr.startswith("_"))
+                           and isinstance(raw, (staticmethod, classmethod, FunctionType))]
+            elif callable(obj):
+                members = [(name, obj)]
+            else:
+                continue
+            for qualname, fn in members:
+                surface["%s.%s" % (layer, qualname)] = [
+                    p.name for p in inspect.signature(fn).parameters.values()
+                    if p.default is not inspect.Parameter.empty]
+    return surface
+
+
+def test_defaulted_parameters_are_pinned():
+    # every threshold is a module constant, not a parameter a caller can loosen
+    snapshot = Path(__file__).with_name("data") / "api_defaults.json"
+    assert defaulted_parameters() == json.loads(snapshot.read_text())
+
+
+def test_thresholds_are_read_when_called(monkeypatch):
+    rng = np.random.default_rng(0)
+    t = theta.sample_generic_diagonal(4, 3, rng)
+    diag = PeriodMatrix.diagonal(t)
+    assert loci.is_diagonal_orbit(diag).verdict
+    assert loci.gradient_locus_check(4, t, np.random.default_rng(1)).passed
+    assert loci.tridiagonal_tangent_check(4, t).passed
+    ladder = expand.default_ladder()
+    steeper = [e**2.1 for e in ladder]
+    assert expand.fit_slope(ladder, steeper, 2).passed
+    # a vanishing threshold of 0 vanishes nothing
+    monkeypatch.setattr(loci, "DEFAULT_VANISH_TOL", 0.0)
+    assert not loci.is_diagonal_orbit(diag).verdict
+    # no measured coefficient is exact
+    monkeypatch.setattr(loci, "COEFF_REL_TOL", 0.0)
+    assert not loci.gradient_locus_check(4, t, np.random.default_rng(1)).passed
+    # a relative rank threshold of 1 counts no singular value
+    monkeypatch.setattr(theta, "RANK_REL_TOL", 1.0)
+    assert not loci.tridiagonal_tangent_check(4, t).passed
+    monkeypatch.setattr(expand, "DEFAULT_SLOPE_TOL", 0.05)
+    assert not expand.fit_slope(ladder, steeper, 2).passed

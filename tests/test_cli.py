@@ -358,6 +358,38 @@ class TestVerificationJobs:
         assert code == EXIT_PASS
         assert report["g"] == 1
 
+    def test_heat_check_covers_the_diagonal(self, monkeypatch):
+        # a diagonal heat constant of 4 pi i (1 + 1e-3) fails the check
+        def heat(tol):
+            checks = cli._theta_numeric_checks(3, np.random.default_rng(0), 4, tol)
+            (check,) = [c for c in checks if c["label"].startswith("heat equation")]
+            return check["pass"]
+
+        assert heat(theta.DEFAULT_TOL)
+        exact = theta.tau_jet
+
+        def skewed(tau, chars, tol):
+            values, grads = exact(tau, chars, tol)
+            diagonal = np.arange(tau.g)
+            grads[:, diagonal, diagonal] /= 1 + 1e-3
+            return values, grads
+
+        monkeypatch.setattr(theta, "tau_jet", skewed)
+        assert not heat(theta.DEFAULT_TOL)
+
+    def test_block_point_draws(self):
+        # the block point is diag(t) and 0.1 (u + iv) per entry of the lower
+        # block, drawn row by row: the construction the reports were made with
+        rng = np.random.default_rng(5)
+        tau = cli._random_block_product(4, rng, theta.DEFAULT_TOL)
+        rng = np.random.default_rng(5)
+        expected = np.diag(theta.sample_generic_diagonal(4, 2, rng))
+        for a in range(1, 4):
+            for b in range(a + 1, 4):
+                expected[a, b] = expected[b, a] = 0.1 * (rng.uniform(-1, 1)
+                                                         + 1j * rng.uniform(-1, 1))
+        assert np.array_equal(tau.entries, expected)
+
     @pytest.mark.parametrize("g,count", [(1, 29), (2, 36), (3, 47), (4, 64), (5, 72)])
     def test_report_all_every_genus(self, g, count, tmp_path):
         code, report = run_json(["report-all", "--g", str(g), "--seed", "0"], tmp_path)
@@ -417,6 +449,21 @@ class TestInputContract:
     def test_direction_count_below_one(self, argv, capsys):
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "error: need at least one direction: %r\n" % argv[-1]
+
+    @pytest.mark.parametrize("argv", [
+        ["expand-verify", "--g", "4", "--l", "0"],
+        ["orbit", "--seed-char="],
+        ["theta-eval", "--char", "[000;000]", "--z="],
+        ["theta-eval", "--char", "[000;000]", "--deriv="],
+        ["loci-test", "--tau="],
+        ["char", "classify", "[00;00]", "--out="],
+    ], ids=["l=0", "seed-char=", "z=", "deriv=", "tau=", "out="])
+    def test_empty_or_zero_value_is_not_absent(self, argv, tau_file, capsys):
+        # a value that was given is checked, even when it is falsy
+        argv = argv + ["--tau", tau_file] if argv[0] == "theta-eval" else argv
+        assert run(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1 and not out
 
     def test_genus_cap_is_read_when_called(self, monkeypatch, capsys):
         # each numeric range ends at theta.MAX_NUMERIC_GENUS, whatever it is

@@ -81,14 +81,18 @@ class TestDiagonalOrbit:
         tau = _block_product(3, rng)
         assert not is_diagonal_orbit(tau).verdict
 
-    def test_tolerance_monotone(self):
+    def test_tolerance_monotone(self, monkeypatch):
         rng = np.random.default_rng(3)
         t = sample_generic_diagonal(3, 0, rng)
         tau = PeriodMatrix.diagonal(t).perturbed(
             np.array([[0, 1e-6, 0], [1e-6, 0, 0], [0, 0, 0]], dtype=complex), 1.0
         )
-        verdicts = [is_diagonal_orbit(tau, tol=tol).verdict
-                    for tol in (1e-10, 1e-6, 1e-2)]
+        verdicts = []
+        for tol in (1e-10, 1e-6, 1e-2):
+            monkeypatch.setattr(loci, "DEFAULT_VANISH_TOL", tol)
+            verdict = is_diagonal_orbit(tau)
+            assert verdict.tol == tol
+            verdicts.append(verdict.verdict)
         # loosening the tolerance never flips true -> false
         for a, b in zip(verdicts, verdicts[1:]):
             assert b or not a

@@ -527,13 +527,16 @@ class TestBatchAndBounds:
             if zero is not None:
                 assert not half[zero].any()
 
-    def test_derivative_order_cap(self):
+    def test_derivative_order_cap(self, monkeypatch):
         tau = PeriodMatrix([[1j]])
         m = Characteristic.zero(1)
         with pytest.raises(ValueError):
             eval_theta(m, tau, deriv=(MAX_DERIV_ORDER + 1,))
-        # explicit override allows higher orders (used for genus-1 symbols)
-        eval_theta(m, tau, deriv=(MAX_DERIV_ORDER + 1,), max_order=6)
+        # the genus-1 symbols go past the cap, to order 5
+        assert len(genus1_derivatives(m, 1j, (MAX_DERIV_ORDER + 1,))) == 1
+        # the cap is read when called
+        monkeypatch.setattr(theta, "MAX_DERIV_ORDER", MAX_DERIV_ORDER + 2)
+        eval_theta(m, tau, deriv=(MAX_DERIV_ORDER + 1,))
 
     @pytest.mark.parametrize("alpha", [(-1, 1), (2, -1)])
     def test_negative_derivative_orders_rejected(self, alpha):
@@ -577,9 +580,12 @@ class TestNumericalRank:
         mat = np.outer([1, 2, 3], [4, 5, 6]).astype(complex)
         assert numerical_rank(mat) == 1
 
-    def test_threshold_is_relative(self):
+    def test_threshold_is_relative(self, monkeypatch):
         mat = np.diag([1.0, 1e-3, 1e-12])
-        assert numerical_rank(mat, rel_tol=1e-7) == 2
+        monkeypatch.setattr(theta, "RANK_REL_TOL", 1e-7)
+        assert numerical_rank(mat) == numerical_rank(1e6 * mat) == 2
+        monkeypatch.setattr(theta, "RANK_REL_TOL", 1e-2)
+        assert numerical_rank(mat) == numerical_rank(1e-6 * mat) == 1
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
