@@ -385,8 +385,8 @@ def vanishing_order(target, base, direction, target_order=1.0, comparison="equal
 
     `target` maps a PeriodMatrix to a complex number; `direction` is a
     symmetric matrix, normalized here to unit max-entry.  With `tail` set,
-    only the last `tail` ladder points enter the fit -- remainders whose
-    higher-order terms carry large constants are pre-asymptotic at the
+    only the last `tail` ladder points are evaluated and fitted -- remainders
+    whose higher-order terms carry large constants are pre-asymptotic at the
     large-epsilon end.
     """
     direction = np.asarray(direction, dtype=complex)
@@ -397,9 +397,9 @@ def vanishing_order(target, base, direction, target_order=1.0, comparison="equal
         raise ValueError("direction must be nonzero")
     direction = direction / peak
     ladder = default_ladder()
-    values = [abs(target(base.perturbed(direction, eps))) for eps in ladder]
     if tail is not None:
-        ladder, values = ladder[-tail:], values[-tail:]
+        ladder = ladder[-tail:]
+    values = [abs(target(base.perturbed(direction, eps))) for eps in ladder]
     return fit_slope(ladder, values, target_order, comparison)
 
 

@@ -10,22 +10,25 @@ van Hoeij and Schmies, "Computing Riemann theta functions", Math. Comp.
 smallest whole number whose rigorous tail bound, aware of the derivative
 order and of Im z, is below the requested tolerance (_ellipsoid_radius);
 a sum needing more than MAX_POINTS points raises ValueError before they
-are allocated.  One kernel, _jet, sums for every entry point, after
-reducing Re z mod 2 (theta(z + 2n) = theta(z) for n in Z^g, exactly).
-Its pass per eps sums one point of each pair +-q; the term of -q is that
-of q with z and delta negated, times (-1) ** |alpha| (at z = 0 just
-(-1) ** (eps . delta + |alpha|)).  The first delta enters the exponent,
-each other one is read off 2^g bins of n = q - eps/2 mod 2 through the
-exact phase i ** (eps . delta) (-1) ** (n . delta), and a multi-index alpha
-through a table of powers.  z-derivatives are term-wise derivatives of the
-series; tau derivatives come from the heat equation, in tau_jet.
+are allocated.  One kernel, _jet, sums for every entry point: a stack of
+(tau, m, z) items of one genus, each with its own sum, after reducing
+Re z mod 2 (theta(z + 2n) = theta(z) for n in Z^g, exactly).  The items
+sharing tau, eps and z form a group, and one vectorised enumeration
+serves many groups, in passes of about PASS_ROWS rows.  A group sums one
+point of each pair +-q; the term of -q is that of q with z and delta
+negated, times (-1) ** |alpha| (at z = 0 just (-1) ** (eps . delta + |alpha|)).
+The first delta enters the exponent, each other one is read off 2^g bins
+of n = q - eps/2 mod 2 through the exact phase i ** (eps . delta)
+(-1) ** (n . delta), and a multi-index alpha through a table of powers.
+z-derivatives are term-wise derivatives of the series; tau derivatives
+come from the heat equation, in tau_jet.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -40,6 +43,10 @@ MAX_POINTS = 200_000
 MAX_NUMERIC_GENUS = 5
 MAX_DERIV_ORDER = 4  # eval_theta and eval_theta_many; the genus-1 series go to 5
 RANK_REL_TOL = 1e-7  # numerical_rank, relative to the largest singular value
+# Rows of one lattice pass: _jet enumerates the groups of a stack together,
+# cut into passes of about this many rows.  Measured so that no job's peak
+# RSS moves: a g=5 Hessian at tol 1e-13 sums ~4,300 rows in one group.
+PASS_ROWS = 3072
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # i ** k for k mod 4
 
 
@@ -54,11 +61,19 @@ class PeriodMatrix:
             raise ValueError("period matrix entries must be finite")
         if not (entries == entries.T).all():
             raise ValueError("period matrix must be symmetric")
-        try:
-            # Im tau = L L^t; the lattice enumeration walks the rows of L^t
-            self._cholesky = np.linalg.cholesky(entries.imag)
-        except np.linalg.LinAlgError:
-            raise ValueError("imaginary part must be positive definite")
+        if entries.shape == (1, 1):
+            # genus 1: L and the eigenvalue are sqrt(Im t) and Im t, bit for
+            # bit what LAPACK returns, without its call overhead
+            if not entries[0, 0].imag > 0:
+                raise ValueError("imaginary part must be positive definite")
+            self._cholesky = np.sqrt(entries.imag)
+            self._lambda_min = float(entries[0, 0].imag)
+        else:
+            try:
+                # Im tau = L L^t; the lattice enumeration walks the rows of L^t
+                self._cholesky = np.linalg.cholesky(entries.imag)
+            except np.linalg.LinAlgError:
+                raise ValueError("imaginary part must be positive definite")
         entries.setflags(write=False)
         self.entries = entries
 
@@ -123,7 +138,8 @@ def _ellipsoid_radius(tau, ynorm, order, tol):
     log s is concave, so the ratio s(r0 + 1)/s(r0) never increases: once
     it is at most 1/2 the shells from R outward sum to at most 2 s(R).  R is
     certified when s(R + 1) <= s(R)/2 and 2 s(R) <= tol.  The certified
-    radii form a half-line, found by doubling and then bisection.
+    radii form a half-line, found by doubling from a lower bound and then
+    bisection.
     """
     g = tau.g
     rho = math.sqrt(tau.lambda_min())
@@ -139,7 +155,10 @@ def _ellipsoid_radius(tau, ynorm, order, tol):
         s = log_shell(r)
         return log_shell(r + 1.0) <= s - math.log(2.0) and s <= log_half_tol
 
-    lo, hi = 0, 1
+    # no radius below sqrt(-log(tol/2) / pi) is certified: every other term of
+    # log s is >= 0
+    hi = max(1, math.ceil(math.sqrt(max(-log_half_tol, 0.0) / math.pi)))
+    lo = hi - 1
     while not certified(hi):
         lo, hi = hi, 2 * hi
         if hi > 2**60:
@@ -150,55 +169,82 @@ def _ellipsoid_radius(tau, ynorm, order, tol):
     return hi
 
 
-def _ellipsoid_points(tau, shift, radius):
-    """(rows, zero): the points q of shift + Z^g (2 shift integral) with
-    q^t (Im tau) q <= radius^2, one of each pair +-q (the one whose last
-    nonzero coordinate is positive), and the row of q = 0 or None.
+def _ellipsoid_points(factors, epses, radii):
+    """(rows, bounds, zeros) for groups k = 0..G-1: the points q of
+    epses[k]/2 + Z^g (each eps a g-tuple of 0s and 1s) with
+    q^t Y_k q <= radii[k]^2, one of each pair +-q (the one whose last nonzero
+    coordinate is positive), where Y_k = U^t U for the upper triangular
+    U = factors[k] (factors[0] for every group when it holds one).  Group k
+    holds the rows bounds[k]:bounds[k + 1], and zeros[k] is its row of
+    q = 0, or None.
 
-    Fincke-Pohst, vectorised: with Im tau = U^t U (U upper triangular),
-    q^t (Im tau) q = sum_i U_ii^2 (q_i - c_i)^2 where c_i depends only on
+    Fincke-Pohst, vectorised over the rows of every group: with Y = U^t U,
+    q^t Y q = sum_i U_ii^2 (q_i - c_i)^2 where c_i depends only on
     q_{i+1}, ..., q_{g-1}.  The coordinates are fixed from the last one
     down; each layer extends every partial point by the whole interval of
-    q_i that what is left of radius^2 allows (q_i >= 0 for the one still
-    all 0); negation mirrors each interval exactly in floating point, so
-    the rows and their negatives are the whole ellipsoid.  A layer whose
-    points (two per row, one for q = 0) exceed MAX_POINTS raises ValueError
-    before it is allocated.
+    q_i that what is left of its radius^2 allows, each row reading its
+    group's U entries and shift (q_i >= 0 for a group's partial point whose
+    coordinates so far are all 0: its centre is 0); negation mirrors each
+    interval exactly in floating point, so the rows and their negatives are
+    the whole ellipsoid.  A layer in which a group's points (two per row,
+    one for q = 0) exceed MAX_POINTS raises ValueError before it is
+    allocated.
     """
-    g = tau.g
-    u = tau._cholesky.T
-    q = np.zeros((1, g))
-    zero = 0  # the row whose coordinates so far are all 0, or None
+    count, g = len(epses), len(epses[0])
+    shared = len(factors) == 1  # one U for every group: its entries are scalars
+    shifts = np.multiply(epses, 0.5)
+    q = np.zeros((count, g))
+    group = np.arange(count)
+    zeros = [(k, k) for k in range(count)]  # (group, its row whose coordinates so far are 0)
     # a hair beyond the radius, so rounding cannot drop a point inside it
-    remaining = np.array([(radius + 1e-9) ** 2])
-    center = np.zeros(1)
+    remaining = np.array([(radius + 1e-9) ** 2 for radius in radii])
+    center = np.zeros(count)
     for i in range(g - 1, -1, -1):
-        half = np.sqrt(np.maximum(remaining, 0.0)) / u[i, i]
+        pivot = factors[0, i, i] if shared else factors[group, i, i]
+        shift = shifts[0, i] if count == 1 else shifts[group, i]
+        half = np.sqrt(np.maximum(remaining, 0.0)) / pivot
         # q_i = shift_i + n must lie in [center - half, center + half]
-        first = np.ceil(center - half - shift[i])
-        if zero is not None:  # centre 0: keep q_i >= 0
-            first[zero] = math.ceil(-shift[i])
-        counts = np.maximum(np.floor(center + half - shift[i]) - first + 1.0, 0.0)
+        first = np.ceil(center - half - shift)
+        for _, row in zeros:
+            first[row] = 0.0  # centre 0: keep q_i >= 0
+        counts = np.maximum(np.floor(center + half - shift) - first + 1.0, 0.0)
         total = counts.sum()
         counts = counts.astype(np.intp)
         # child k of parent p is its (k - starts[p])-th point on the interval
         starts = np.cumsum(counts) - counts
-        # the zero row's first child is q_i = 0 when shift_i = 0
-        zero = int(starts[zero]) if zero is not None and shift[i] == 0 else None
-        points = 2 * total - (zero is not None)
-        if points > MAX_POINTS:
-            raise ValueError(
-                "theta sum needs %.3g lattice points at radius %d, above the "
-                "budget of %d (near-degenerate Im tau or unreachable tolerance)"
-                % (points, radius, MAX_POINTS))
+        # an all-0 row's first child is q_i = 0 when shift_i = 0
+        zeros = [(k, int(starts[row])) for k, row in zeros if not epses[k][i]]
+        if 2 * total > MAX_POINTS:
+            points = 2 * (np.bincount(group, counts, count) if count > 1 else np.array([total]))
+            points[[k for k, _ in zeros]] -= 1
+            k = int(np.argmax(points))
+            if points[k] > MAX_POINTS:
+                raise ValueError(
+                    "theta sum needs %.3g lattice points at radius %d, above the "
+                    "budget of %d (near-degenerate Im tau or unreachable tolerance)"
+                    % (points[k], radii[k], MAX_POINTS))
         parent = np.arange(counts.size).repeat(counts)
-        qi = (first - starts)[parent] + np.arange(int(total)) + shift[i]
+        qi = (first - starts + shift)[parent] + np.arange(int(total))
         q = q[parent]
         q[:, i] = qi
         if i:  # what is left of radius^2, and the centres, one layer down
-            remaining = remaining[parent] - (u[i, i] * (qi - center[parent])) ** 2
-            center = -(q[:, i:] @ u[i - 1, i:]) / u[i - 1, i - 1]
-    return q, zero
+            if count > 1:
+                group = group[parent]
+            if not shared:
+                pivot = pivot[parent]
+            remaining = remaining[parent] - (pivot * (qi - center[parent])) ** 2
+            if shared:
+                center = -(q[:, i:] @ factors[0, i - 1, i:]) / factors[0, i - 1, i - 1]
+            else:
+                u = factors[group, i - 1]
+                center = -np.einsum("ij,ij->i", q[:, i:], u[:, i:]) / u[:, i - 1]
+    # each group's rows: the children of its parents in the last layer
+    bounds = [0, len(q)] if count == 1 else [0] + np.cumsum(
+        np.bincount(group, counts, count)).astype(int).tolist()
+    zero_rows = [None] * count
+    for k, row in zeros:
+        zero_rows[k] = row
+    return q, bounds, zero_rows
 
 
 def _parity_phases(q, eps, deltas):
@@ -212,85 +258,128 @@ def _parity_phases(q, eps, deltas):
 
 
 def _monomials(q, alphas):
-    """q ** alpha for rows q and multi-indices alpha, as N x K: row by row, in
-    place, the product over the axes a with alpha_a >= 1 of q_a ** alpha_a."""
-    top = int(alphas.max(initial=0))
+    """q ** alpha for rows q and the K multi-indices alpha, as N x K: row by
+    row, in place, the product over the axes a with alpha_a >= 1 of
+    q_a ** alpha_a."""
+    top = max(map(max, alphas), default=0)
     powers = list(accumulate([q.T] * top, np.multiply))  # q, q * q, ... up to q ** top
     product = np.ones((len(alphas), len(q)))
-    for row, alpha in zip(product, alphas.tolist()):
+    for row, alpha in zip(product, alphas):
         for a, k in enumerate(alpha):
             if k:
                 row *= powers[k - 1][a]
     return product.T
 
 
-def _jet(tau, chars, multi_indices, z, tol, max_order):
-    """d^alpha theta_m(tau, z) for each m of chars (rows) and alpha of
-    multi_indices (columns), absolute error below tol: one validation, one
-    radius, and per distinct eps one set of pairs +-q and one exponential
-    (two away from z = 0)."""
-    g = tau.g
-    if any(m.g != g for m in chars):
-        raise ValueError("genus mismatch")
+def _jet(items, multi_indices, tol, max_order):
+    """d^alpha theta_m(tau, z) for each item (tau, m, z) of a stack (rows; z
+    None for 0) and each alpha of multi_indices (columns), absolute error
+    below tol, from one validation.
+
+    The items that share tau, eps and z form a group: one radius per tau and
+    |Im z|, one set of pairs +-q and one exponential per group (two away
+    from z = 0), the group's first delta in the exponent and every other one
+    read off its parity bins.  The groups are enumerated together, in passes
+    of about PASS_ROWS rows by the volume of their ellipsoids (a larger
+    group is a pass of its own)."""
+    if not items:
+        return np.zeros((0, len(multi_indices)), dtype=complex)
+    g = items[0][0].g
     if g > MAX_NUMERIC_GENUS:
         raise ValueError("numeric genus cap exceeded: g=%d > %d" % (g, MAX_NUMERIC_GENUS))
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive: %r" % tol)
     if tol < MIN_TOL:
         raise ValueError("tolerance below achievable precision: %g" % tol)
-    alphas = [tuple(int(k) for k in alpha) for alpha in multi_indices]
-    for alpha in alphas:
-        if len(alpha) != g or min(alpha) < 0 or sum(alpha) > max_order:
+    alphas = [tuple(map(int, alpha)) for alpha in multi_indices]
+    orders = [sum(alpha) for alpha in alphas]
+    for alpha, order in zip(alphas, orders):
+        if len(alpha) != g or min(alpha) < 0 or order > max_order:
             raise ValueError("bad derivative multi-index %r: need %d entries >= 0 "
                              "of total order <= %d" % (alpha, g, max_order))
-    top = max(map(sum, alphas), default=0)
-    alphas = np.array(alphas, dtype=int).reshape(len(alphas), g)
-    if z is None:
-        z, sides = np.zeros(g), 1
-    else:
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (g,):
-            raise ValueError("z must have length g")
-        if not np.isfinite(z).all():
-            raise ValueError("z must be finite")
-        # theta(z + 2n) = theta(z) for n in Z^g, and so is every z-derivative:
-        # an exact reduction to |Re z| <= 1 that leaves no sign to track
-        z = z - 2.0 * np.rint(z.real / 2.0)
-        sides = 1 + bool(z.any())
-    orders = alphas.sum(axis=1)
-    radius = _ellipsoid_radius(tau, math.hypot(*z.imag), top, tol)
-    rows_by_eps = {}
-    for row, m in enumerate(chars):
-        rows_by_eps.setdefault(m.eps, []).append(row)
+    top = max(orders, default=0)
+    orders = np.array(orders, dtype=int)
+    groups = {}  # (tau, eps, z) -> (tau, eps, z, rows)
+    deltas, signs = [], []  # each item's delta, and (-1) ** (eps . delta)
+    for row, (tau, m, z) in enumerate(items):
+        if m.g != g:
+            raise ValueError("genus mismatch")
+        if z is not None:
+            z = np.asarray(z, dtype=complex)
+            if z.shape != (g,):
+                raise ValueError("z must have length g")
+            if not np.isfinite(z).all():
+                raise ValueError("z must be finite")
+            # theta(z + 2n) = theta(z) for n in Z^g, and so is every
+            # z-derivative: an exact reduction that leaves no sign to track
+            z = z - 2.0 * np.rint(z.real / 2.0)
+        key = (id(tau), m.eps, None if z is None else z.tobytes())
+        group = groups.get(key)
+        if group is None:
+            if tau.g != g:
+                raise ValueError("genus mismatch")
+            group = groups[key] = (tau, m.eps, z, [])
+        group[3].append(row)
+        deltas.append(m.delta)
+        signs.append((-1) ** scalar_class(m))
+    radii, passes, size = {}, [[]], 0.0
+    for tau, eps, z, rows in groups.values():
+        ynorm = 0.0 if z is None else math.hypot(*z.imag)
+        if (id(tau), ynorm) not in radii:
+            radii[id(tau), ynorm] = _ellipsoid_radius(tau, ynorm, top, tol)
+        radius = radii[id(tau), ynorm]
+        if len(groups) > 1:
+            # about half the points of the ellipsoid: one row per pair +-q
+            volume = (math.pi ** (g / 2) / math.gamma(g / 2 + 1) / 2 * radius**g
+                      / math.prod(tau._cholesky.diagonal()))
+            if passes[-1] and size + volume > PASS_ROWS:
+                passes.append([])
+                size = 0.0
+            size += volume
+        passes[-1].append((tau, eps, z, rows, radius))
     # the sums over the rows q and, away from z = 0, over their pairs -q
-    sums = np.empty((sides, len(chars), len(alphas)), dtype=complex)
-    for eps, rows in rows_by_eps.items():
-        deltas = np.array([chars[row].delta for row in rows])
-        q, zero = _ellipsoid_points(tau, np.multiply(eps, 0.5), radius)
-        # q is real: two real quadratic forms, not a complex N x g product
-        quad = (np.einsum("ij,ij->i", q @ tau.entries.real, q)
-                + 1j * np.einsum("ij,ij->i", q @ tau.entries.imag, q))
-        # the first delta enters the exponent; every other one is read off
-        # 2^g bins of n mod 2 with the phase exp(pi i q . (delta - delta_0))
-        lin = q @ (2.0 * z + deltas[0])
+    sums = np.empty((2, len(items), len(alphas)), dtype=complex)
+    two_sided = []
+    for chunk in passes:
+        shared = all(group[0] is chunk[0][0] for group in chunk)  # one tau: one factor
+        q, bounds, zeros = _ellipsoid_points(
+            np.array([tau._cholesky.T for tau, *_ in (chunk[:1] if shared else chunk)]),
+            [eps for _, eps, *_ in chunk],
+            [radius for *_, radius in chunk])
         monomials = _monomials(q, alphas)
-        if len(rows) > 1:
-            bins, walsh = _parity_phases(q, eps, deltas - deltas[0])
-        for side, out in zip((1.0, -1.0), sums):
-            terms = np.exp(np.pi * 1j * (quad + lin if side > 0 else quad - lin))
-            if zero is not None:
-                terms[zero] = 0.5  # q = 0 is its own pair
-            if len(rows) == 1:
-                # two real products, not a complex copy of the monomials
-                out[rows] = terms.real @ monomials + 1j * (terms.imag @ monomials)
-                continue
-            binned = np.array([np.bincount(bins, terms.real * col, walsh.shape[1])
-                               + 1j * np.bincount(bins, terms.imag * col, walsh.shape[1])
-                               for col in monomials.T])
-            out[rows] = (walsh if side > 0 else walsh.conj()) @ binned.T
-    plus, minus = sums[0], sums[-1]
-    if len(sums) == 1:  # at z = 0 the -q terms are the q terms times (-1) ** (eps . delta)
-        minus = plus * np.array([(-1) ** scalar_class(m) for m in chars])[:, None]
+        for (tau, eps, z, rows, _), start, stop, zero in zip(chunk, bounds, bounds[1:], zeros):
+            part, powers = q[start:stop], monomials[start:stop]
+            # q is real: two real quadratic forms, not a complex N x g product
+            quad = (np.einsum("ij,ij->i", part @ tau.entries.real, part)
+                    + 1j * np.einsum("ij,ij->i", part @ tau.entries.imag, part))
+            # the first delta enters the exponent; every other one is read off
+            # 2^g bins of n mod 2 with the phase exp(pi i q . (delta - delta_0))
+            group_deltas = np.array([deltas[row] for row in rows])
+            first = group_deltas[0]
+            lin = part @ (first if z is None else 2.0 * z + first)
+            exponents = [quad + lin]
+            if z is not None and z.any():
+                exponents.append(quad - lin)
+                two_sided += rows
+            if len(rows) > 1:
+                bins, walsh = _parity_phases(part, eps, group_deltas - first)
+            for out, exponent, phases in zip(sums, exponents, ("walsh", "conj")):
+                terms = np.exp(np.pi * 1j * exponent)
+                if zero is not None:
+                    terms[zero - start] = 0.5  # q = 0 is its own pair
+                if len(rows) == 1:
+                    # two real products, not a complex copy of the monomials
+                    out[rows] = terms.real @ powers + 1j * (terms.imag @ powers)
+                    continue
+                binned = np.array([np.bincount(bins, terms.real * col, walsh.shape[1])
+                                   + 1j * np.bincount(bins, terms.imag * col, walsh.shape[1])
+                                   for col in powers.T])
+                out[rows] = (walsh if phases == "walsh" else walsh.conj()) @ binned.T
+    # at z = 0 the -q terms are the q terms times (-1) ** (eps . delta)
+    plus = sums[0]
+    minus = plus * np.array(signs)[:, None]
+    if two_sided:
+        minus[two_sided] = sums[1][two_sided]
     return (plus + (-1) ** orders * minus) * (2j * np.pi) ** orders
 
 
@@ -298,20 +387,31 @@ def eval_theta(m, tau, z=None, deriv=None, tol=DEFAULT_TOL):
     """theta_m(tau, z), or its z-derivative for the multi-index `deriv` of
     total order at most MAX_DERIV_ORDER; absolute error below tol."""
     deriv = (0,) * tau.g if deriv is None else deriv
-    return complex(_jet(tau, [m], [deriv], z, tol, MAX_DERIV_ORDER)[0, 0])
+    return complex(_jet([(tau, m, z)], [deriv], tol, MAX_DERIV_ORDER)[0, 0])
 
 
 def eval_theta_many(m, tau, multi_indices, z=None, tol=DEFAULT_TOL):
     """Several z-derivatives of theta_m in a single lattice pass."""
-    return _jet(tau, [m], multi_indices, z, tol, MAX_DERIV_ORDER)[0].tolist()
+    return _jet([(tau, m, z)], multi_indices, tol, MAX_DERIV_ORDER)[0].tolist()
+
+
+def eval_theta_stack(items, tol=DEFAULT_TOL):
+    """theta_m(tau, z) for each (tau, m, z) of items (z None for 0): one
+    kernel call per genus among them, whose lattice passes each enumerate
+    many (tau, eps, z) groups at once."""
+    items, values = list(items), {}
+    for g in {tau.g for tau, _, _ in items}:
+        rows = [row for row, (tau, _, _) in enumerate(items) if tau.g == g]
+        values.update(zip(rows, _jet([items[row] for row in rows], [(0,) * g], tol, 0)[:, 0]))
+    return [complex(values[row]) for row in range(len(items))]
 
 
 def theta_constants_batch(tau, characteristics, tol=DEFAULT_TOL):
     """Theta constants for many characteristics, as a mapping from each to
-    its value: per eps one pass over the +-q pairs, every delta read off
-    the 2^g parity bins of its terms."""
+    its value: one pass over the +-q pairs of a few eps at a time, every
+    delta read off the 2^g parity bins of its eps."""
     characteristics = list(characteristics)
-    values = _jet(tau, characteristics, [(0,) * tau.g], None, tol, 0)
+    values = _jet([(tau, m, None) for m in characteristics], [(0,) * tau.g], tol, 0)
     return dict(zip(characteristics, values[:, 0].tolist()))
 
 
@@ -355,8 +455,8 @@ def tau_jet(tau, chars, tol=DEFAULT_TOL):
     tau-gradient as a symmetric g x g array, from one lattice pass per eps.
     The heat equation gives d theta / d tau_jk = c_jk d_{z_j} d_{z_k} theta,
     c = 1/(4pii) for j=k and 1/(2pii) for the one coordinate tau_jk = tau_kj."""
-    chars, g = list(chars), tau.g
-    jet = _jet(tau, chars, [(0,) * g] + _second_order(g), None, tol, 2)
+    g = tau.g
+    jet = _jet([(tau, m, None) for m in chars], [(0,) * g] + _second_order(g), tol, 2)
     heat = np.where(np.eye(g, dtype=bool), 4j * np.pi, 2j * np.pi)
     return jet[:, 0], np.array([_symmetric(g, row) for row in jet[:, 1:]]) / heat
 
@@ -401,10 +501,30 @@ _EVEN1 = Characteristic((0,), (0,))
 def genus1_derivatives(m1, t, orders, tol=DEFAULT_TOL):
     """d^k/dz^k theta_{m1}(t, 0) for each k in orders (genus 1; k up to 5)."""
     orders = [(k,) for k in orders]
-    return _jet(PeriodMatrix([[t]]), [m1], orders, None, tol, 5)[0].tolist()
+    return _jet([(PeriodMatrix([[t]]), m1, None)], orders, tol, 5)[0].tolist()
 
 
-@lru_cache(maxsize=128)
+_SYMBOLS = {}  # (t, odd, tol) -> (f, phi, psi): the memo of f_phi_psi
+_MAX_SYMBOLS = 4096  # the memo is emptied before it grows beyond this
+
+
+def _symbols(ts, odd, tol):
+    """f_phi_psi(t, odd, tol) for each t of ts, those not memoised yet from
+    one kernel stack."""
+    known = {t: _SYMBOLS.get((t, odd, tol)) for t in ts}
+    fresh = [t for t, triple in known.items() if triple is None]
+    if fresh:
+        derivatives = _jet([(PeriodMatrix([[t]]), _ODD1 if odd else _EVEN1, None)
+                            for t in fresh],
+                           [(1,), (3,), (5,)] if odd else [(0,), (2,), (4,)], tol, 5)
+        if len(_SYMBOLS) + len(fresh) > _MAX_SYMBOLS:
+            _SYMBOLS.clear()
+        for t, (f, d2, d4) in zip(fresh, derivatives.tolist()):
+            phi = d2 / f
+            known[t] = _SYMBOLS[t, odd, tol] = f, phi, d4 / f - phi**2
+    return [known[t] for t in ts]
+
+
 def f_phi_psi(t, odd, tol=DEFAULT_TOL):
     """The triple (f, phi, psi) at the genus-1 point t.
 
@@ -412,14 +532,10 @@ def f_phi_psi(t, odd, tol=DEFAULT_TOL):
     psi = theta''''' / theta' - phi^2; for an even column f = theta[0;0](t),
     phi = theta''/theta, psi = theta''''/theta - phi^2.
 
-    Memoised: drawing a diagonal computes the triples that binding the
-    symbols at it reads again.  Call it as f_phi_psi(t, odd, tol), all
-    positional, so that every caller shares one cache entry.
+    Memoised per (t, odd, tol): drawing a diagonal computes the triples that
+    binding the symbols at it reads again.
     """
-    f, d2, d4 = genus1_derivatives(_ODD1 if odd else _EVEN1, t,
-                                   (1, 3, 5) if odd else (0, 2, 4), tol=tol)
-    phi = d2 / f
-    return f, phi, d4 / f - phi**2
+    return _symbols([t], odd, tol)[0]
 
 
 GENERICITY_FLOOR = 1e-3
@@ -429,7 +545,17 @@ MAX_DRAW_TRIES = 200  # per coordinate
 def sample_generic_diagonal(g, l, rng, tol=DEFAULT_TOL):
     """Diagonal entries t_1..t_g with Im t in [0.8, 2.0], Re t in [-0.5, 0.5],
     each redrawn (at most MAX_DRAW_TRIES times) until |psi - 2 phi^2| and
-    |4 phi^2 - psi| exceed GENERICITY_FLOOR (columns 1..l odd, the rest even)."""
+    |4 phi^2 - psi| exceed GENERICITY_FLOOR (columns 1..l odd, the rest even).
+
+    The first candidate of each coordinate is drawn ahead and the generator
+    put back: their symbols come from one kernel stack per column kind, so
+    a draw with no retry sums at most two stacks, and the draws are those of
+    a coordinate-by-coordinate run."""
+    state = rng.bit_generator.state
+    ahead = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0)) for _ in range(g)]
+    rng.bit_generator.state = state
+    _symbols(ahead[:l], True, tol)
+    _symbols(ahead[l:], False, tol)
     t = np.zeros(g, dtype=complex)
     for a in range(g):
         odd = a < l

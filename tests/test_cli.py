@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
@@ -131,36 +132,32 @@ class TestPlumbing:
     @pytest.mark.parametrize("argv", [["loci-test", "--g", "3"], ["loci-test", "--tau"],
                                       ["report-all", "--g", "4"]],
                              ids=["loci-test", "loci-test-tau", "report-all"])
-    def test_tol_reaches_every_theta_pass(self, argv, tmp_path, tau_file, monkeypatch):
+    def test_tol_reaches_every_theta_pass(self, argv, tmp_path, tau_file, monkeypatch,
+                                          kernel):
         # every lattice sum outside the Hessian minors sums at --tol, and
         # every one inside them, their draws included, at the minors' own
-        # tolerance; inline (no fork), so that each pass is seen
+        # tolerance; inline (no fork), so that each kernel call is seen
         argv = argv + [tau_file] if argv[-1] == "--tau" else argv
         monkeypatch.delattr(os, "fork")
-        theta.f_phi_psi.cache_clear()  # a cached pass would not be seen
+        theta._SYMBOLS.clear()  # a memoised pass would not be seen
         loci._even_scale.cache_clear()
-        passes = {"outside": [], "minors": []}
-        where = ["outside"]
-        jet, minors = theta._jet, cli._hess_minor_checks
-
-        def recording_jet(tau, chars, multi_indices, z, tol, max_order):
-            passes[where[-1]].append(tol)
-            return jet(tau, chars, multi_indices, z, tol, max_order)
+        inside = []  # the indices of the kernel calls made by the minors
+        minors = cli._hess_minor_checks
 
         def recording_minors(*args, **kwargs):
-            where.append("minors")
+            start = len(kernel.calls)
             try:
                 return minors(*args, **kwargs)
             finally:
-                where.pop()
+                inside.extend(range(start, len(kernel.calls)))
 
-        monkeypatch.setattr(theta, "_jet", recording_jet)
         monkeypatch.setattr(cli, "_hess_minor_checks", recording_minors)
         code, report = run_json(argv + ["--tol", "1e-12"], tmp_path)
         assert code == EXIT_PASS and report["tol"] == 1e-12
-        assert passes["outside"] and set(passes["outside"]) == {1e-12}
+        outside = [tol for index, tol in enumerate(kernel.tols) if index not in inside]
+        assert outside and set(outside) == {1e-12}
         if argv[0] == "report-all":
-            assert set(passes["minors"]) == {loci.MINOR_THETA_TOL}
+            assert {kernel.tols[index] for index in inside} == {loci.MINOR_THETA_TOL}
 
 
 class TestChar:
@@ -398,6 +395,17 @@ class TestVerificationJobs:
         assert all(c["pass"] for c in report["checks"])
         assert_no_child_left()  # g >= 4 forks two check processes
 
+    @pytest.mark.parametrize("g", [4, 5])
+    def test_report_all_kernel_calls(self, g, kernel, tmp_path):
+        # the main process stacks its spot checks and first draws: it made
+        # 684 (g=4) and 703 (g=5) kernel calls when each value was one call
+        theta._SYMBOLS.clear()
+        loci._even_scale.cache_clear()
+        code, _ = run_json(["report-all", "--g", str(g), "--seed", "0"], tmp_path)
+        assert code == EXIT_PASS
+        assert len(kernel.calls) <= 260
+        assert kernel.stray == 0  # every lattice pass is made inside a kernel call
+
 
 class TestInputContract:
     """Malformed input exits 2 with one line on stderr, before any job runs."""
@@ -498,6 +506,37 @@ class TestInputContract:
             os.close(write_fd)
         assert proc.returncode == EXIT_FAIL
         assert proc.stderr == "error: stdout was closed by its reader\n"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["report-all", "--g", "2", "--seed", "0"], EXIT_PASS),
+        (["report-all", "--g", "0"], EXIT_USAGE),
+        (["orbit", "--g", "3", "--seed", "1"], EXIT_USAGE),
+    ], ids=["pass", "bad-genus", "unknown-option"])
+    def test_process_ends_without_teardown(self, argv, code, tmp_path):
+        # main skips the interpreter's teardown: the same report, exit code
+        # and one-line error as run() gives in process
+        proc = cli_process(argv, capture_output=True, text=True)
+        assert proc.returncode == code
+        if code == EXIT_PASS:
+            assert not proc.stderr
+            _, report = run_json(argv, tmp_path)
+            assert json.loads(proc.stdout) == dict(report, timestamp=ANY)
+        else:
+            assert not proc.stdout and proc.stderr.startswith("error: ")
+            assert proc.stderr.count("\n") == 1
+
+    def test_head_of_the_report(self):
+        # a reader that takes one line and goes: that line, and no traceback
+        proc = subprocess.run(
+            "%s -m thetadiag.cli report-all --g 2 --seed 0 | head -1" % sys.executable,
+            shell=True, capture_output=True, text=True, env=dict(
+                os.environ, PYTHONPATH=str(Path(thetadiag.__file__).resolve().parent.parent)))
+        assert proc.returncode == 0 and proc.stdout == "{\n"
+        assert proc.stderr in ("", "error: stdout was closed by its reader\n")
+
+    def test_help_still_exits_through_argparse(self):
+        proc = cli_process(["--help"], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: thetadiag")
 
     def test_job_without_checks(self, capsys):
         # g=4 has no pair 4 <= j < k <= g for the D12jk minors

@@ -375,3 +375,17 @@ class TestRemainderReports:
         t = sample_generic_diagonal(4, 3, rng)
         report = gradient_remainder_report(4, 3, a, t, rng)
         assert report.passed, report.fitted_slope
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_remainder_report_sums_only_the_points_it_fits(self, l, kernel):
+        # tail=4: the ladder's first three points are neither fitted nor summed
+        rng = np.random.default_rng(5)
+        t = sample_generic_diagonal(4, l, rng)
+        bind_symbols(t, l)  # the genus-1 symbols are memoised from here on
+        del kernel.calls[:], kernel.passes[:]
+        if l == 2:
+            report = theta_remainder_report(4, l, t, rng)
+        else:
+            report = gradient_remainder_report(4, l, 1, t, rng)
+        assert report.epsilon_ladder == tuple(default_ladder()[-4:])
+        assert len(kernel.calls) == len(kernel.passes) == 4

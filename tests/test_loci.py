@@ -183,22 +183,14 @@ class TestRankClass:
         is_null, rank = thetanull_rank_class(PeriodMatrix.diagonal(t), _m0(4))
         assert is_null and rank == 2
 
-    def test_sums_one_single_evaluation_pass_after_the_even_batch(self, monkeypatch):
+    def test_sums_one_single_evaluation_pass_after_the_even_batch(self, kernel):
         # theta_m and its z-Hessian come from one lattice pass at eps(m)
-        shifts = []
-
-        def recording(tau, shift, radius):
-            shifts.append(tuple(shift))
-            return real(tau, shift, radius)
-
-        real = theta._ellipsoid_points
-        monkeypatch.setattr(theta, "_ellipsoid_points", recording)
         tau = PeriodMatrix.diagonal([1.1j, 1.2j, 0.9j, 1.3j])
         even_scale(tau, theta.DEFAULT_TOL)  # the batch, as the detector reads it
-        batch_passes = len(shifts)
+        batch_passes = len(kernel.passes)
         is_null, rank = thetanull_rank_class(tau, _m0(4))
         assert is_null and rank == 2
-        assert shifts[batch_passes:] == [(0.5, 0.5, 0.0, 0.0)]
+        assert [epses for epses, _ in kernel.passes[batch_passes:]] == [[(1, 1, 0, 0)]]
 
 
 class TestHyperellipticVanishing:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from thetadiag.chars import EVEN, ODD, Characteristic, enumerate_characteristics
-from thetadiag import theta
+from thetadiag import cli, expand, theta
 from thetadiag.theta import (
     DEFAULT_TOL,
     MAX_DERIV_ORDER,
@@ -26,6 +26,7 @@ from thetadiag.theta import (
     _parity_phases,
     eval_theta,
     eval_theta_many,
+    eval_theta_stack,
     f_phi_psi,
     genus1_derivatives,
     gradient,
@@ -142,6 +143,20 @@ class TestPeriodMatrix:
         with pytest.raises(ValueError):
             PeriodMatrix.from_json(obj)
 
+    def test_genus1_factor_is_lapack_bit_for_bit(self):
+        # sqrt(Im t) and Im t, without the LAPACK calls, on 1,000 random t
+        rng = np.random.default_rng(14)
+        for t in rng.uniform(-0.5, 0.5, 1000) + 1j * rng.uniform(1e-3, 5.0, 1000):
+            tau, y = PeriodMatrix([[t]]), np.array([[t.imag]])
+            assert tau._cholesky.shape == (1, 1)
+            assert tau._cholesky[0, 0] == np.linalg.cholesky(y)[0, 0]
+            assert tau.lambda_min() == np.linalg.eigvalsh(y)[0]
+
+    @pytest.mark.parametrize("t", [1.0 + 0j, 0.5 - 1j, -0j])
+    def test_genus1_rejects_non_positive_imaginary(self, t):
+        with pytest.raises(ValueError, match="positive definite"):
+            PeriodMatrix([[t]])
+
     def test_perturbed(self):
         tau = PeriodMatrix.diagonal([1j, 1j])
         direction = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -193,7 +208,8 @@ class TestAgainstOracles:
         z = [0.3 + 0.1j, -0.7 - 0.2j]
         derivs = [(0, 0), (1, 0), (1, 2)]
         chars = enumerate_characteristics(2)
-        batch = _jet(PeriodMatrix(tau), chars, derivs, z, 1e-12, MAX_DERIV_ORDER)
+        stack = [(PeriodMatrix(tau), m, z) for m in chars]
+        batch = _jet(stack, derivs, 1e-12, MAX_DERIV_ORDER)
         for m, row in zip(chars, batch):
             single = eval_theta_many(m, PeriodMatrix(tau), derivs, z=z, tol=1e-12)
             for deriv, ours, alone in zip(derivs, row, single):
@@ -497,7 +513,7 @@ class TestBatchAndBounds:
         tau = PeriodMatrix.diagonal([0.2j] * 5)
         with monkeypatch.context() as patched:
             patched.setattr(theta, "MAX_POINTS", 10**6)
-            rows, zero = _ellipsoid_points(tau, np.zeros(5), 4)
+            rows, _, (zero,) = _ellipsoid_points(tau._cholesky.T[None], np.zeros((1, 5)), [4])
         assert zero is not None
         assert len(rows) < MAX_POINTS < 2 * len(rows) - 1
         with pytest.raises(ValueError, match="needs 3.07e[+]05 lattice points at radius 4"):
@@ -518,7 +534,8 @@ class TestBatchAndBounds:
             shifted = cube + shift
             inside = np.einsum("ij,jk,ik->i", shifted, y, shifted) <= radius**2
             expected = sorted(map(tuple, shifted[inside]))
-            half, zero = _ellipsoid_points(tau, shift, radius)
+            half, _, (zero,) = _ellipsoid_points(tau._cholesky.T[None], 2 * shift[None],
+                                                 [radius])
             rows, negatives = set(map(tuple, half)), set(map(tuple, -half))
             assert len(rows) == len(half)
             assert sorted(rows | negatives) == expected
@@ -557,6 +574,78 @@ class TestBatchAndBounds:
             eval_theta_many(m, tau, [(0, 0), (1, 0)], z=z)
 
 
+class TestStackedKernel:
+    @pytest.mark.parametrize("g", range(1, MAX_NUMERIC_GENUS + 1))
+    def test_stack_matches_one_item_calls(self, g, kernel, monkeypatch):
+        # three tau, z = 0, a real and a complex z, two eps per (tau, z) and
+        # up to three delta per eps; derivatives up to order 4; passes small
+        # enough that the stack spans several, some with several groups
+        rng = np.random.default_rng(80 + g)
+        zs = [None, 0.3 * rng.normal(size=g),
+              0.3 * rng.normal(size=g) + 0.2j * rng.normal(size=g)]
+        items = []
+        for tau in (_random_tau(g, rng) for _ in range(3)):
+            for z in zs:
+                for eps in {tuple(rng.integers(0, 2, size=g)) for _ in range(2)}:
+                    deltas = {tuple(rng.integers(0, 2, size=g)) for _ in range(3)}
+                    items += [(tau, Characteristic(eps, delta), z) for delta in deltas]
+        items = [items[k] for k in rng.permutation(len(items))]  # passes mix tau
+        derivs = [(0,) * g, theta._unit(g, 0), (2,) + (0,) * (g - 1),
+                  (4,) + (0,) * (g - 1), tuple(int(k) for k in rng.multinomial(4, [1 / g] * g))]
+        alone, rows = [], {}  # one-item values, and the rows of each (tau, eps, z) group
+        for tau, m, z in items:
+            alone.append(theta._jet([(tau, m, z)], derivs, 1e-12, MAX_DERIV_ORDER)[0])
+            rows.setdefault((id(tau), m.eps, id(z)), kernel.passes[-1][1][0])
+        del kernel.passes[:]
+        # passes of about two groups: the stack spans several
+        monkeypatch.setattr(theta, "PASS_ROWS", 2.5 * np.median(list(rows.values())))
+        stacked = theta._jet(items, derivs, 1e-12, MAX_DERIV_ORDER)
+        assert len(kernel.passes) > 1 and any(len(epses) > 1 for epses, _ in kernel.passes)
+        assert [n for _, counts in kernel.passes for n in counts] == list(rows.values())
+        for row, one in zip(stacked, alone):
+            assert np.abs(row - one).max() <= 1e-13 * np.abs(one).max()
+
+    def test_point_budget_refusal_inside_a_stack(self):
+        bad, good = PeriodMatrix.diagonal([0.02j] * 5), PeriodMatrix.diagonal([1.1j] * 5)
+        m = Characteristic.zero(5)
+        with pytest.raises(ValueError, match="budget of %d" % MAX_POINTS) as alone:
+            eval_theta(m, bad)
+        for items in ([(good, m, None), (bad, m, None)], [(bad, m, None), (good, m, None)]):
+            start = time.perf_counter()
+            with pytest.raises(ValueError) as stacked:
+                eval_theta_stack(items)
+            assert str(stacked.value) == str(alone.value)
+            assert time.perf_counter() - start < 5.0
+
+    def test_stack_of_several_genera(self, kernel):
+        # one kernel call per genus, values in item order
+        rng = np.random.default_rng(9)
+        items = [(_random_tau(g, rng), Characteristic.zero(g), None) for g in (2, 1, 3, 1, 2)]
+        values = eval_theta_stack(items)
+        assert len(kernel.calls) == 3
+        np.testing.assert_allclose(values, [eval_theta(m, tau) for tau, m, _ in items],
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_spot_checks_draw_as_one_sample_at_a_time(self, g):
+        # every draw comes first, in the order of a sample-by-sample run
+        def replay(rng):
+            odd = enumerate_characteristics(g, parity_filter=ODD)
+            evens = enumerate_characteristics(g, parity_filter=EVEN)
+            for _ in range(10):
+                sample_generic_diagonal(g, 0, rng, DEFAULT_TOL)
+                expand.random_offdiagonal_direction(g, rng)
+                rng.integers(len(odd))
+                rng.integers(1, g)
+                rng.integers(len(evens))
+                rng.choice(g, size=2, replace=False)
+            return rng.bit_generator.state
+
+        rng = np.random.default_rng(g)
+        cli._theta_numeric_checks(g, rng, 10, DEFAULT_TOL)
+        assert rng.bit_generator.state == replay(np.random.default_rng(g))
+
+
 class TestGenus1Symbols:
     def test_f_phi_psi_consistency(self):
         t = 0.1 + 1.2j
@@ -565,6 +654,26 @@ class TestGenus1Symbols:
         assert abs(f - d1) < 1e-12
         assert abs(phi - d3 / d1) < 1e-10
         assert abs(psi - (d5 / d1 - (d3 / d1) ** 2)) < 1e-8
+
+    @pytest.mark.parametrize("l", [0, 2, 4])
+    def test_draws_ahead_leave_the_stream_as_drawn(self, l, kernel):
+        # the first candidates are drawn ahead and the generator put back: the
+        # diagonal and the generator state of a coordinate-by-coordinate draw,
+        # and one kernel stack per column kind
+        theta._SYMBOLS.clear()
+        rng, ref = np.random.default_rng(20 + l), np.random.default_rng(20 + l)
+        t = sample_generic_diagonal(4, l, rng)
+        assert len(kernel.calls) == 1 + (0 < l < 4)
+        expected = []
+        for a in range(4):
+            while True:
+                cand = complex(ref.uniform(-0.5, 0.5), ref.uniform(0.8, 2.0))
+                _, phi, psi = f_phi_psi(cand, a < l)
+                if min(abs(psi - 2 * phi**2), abs(4 * phi**2 - psi)) > theta.GENERICITY_FLOOR:
+                    break
+            expected.append(cand)
+        assert list(t) == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_sample_generic_diagonal_window(self):
         rng = np.random.default_rng(12)
