@@ -14,7 +14,8 @@ are allocated.  One kernel, _jet, sums for every entry point: a stack of
 (tau, m, z) items of one genus, each with its own sum, after reducing
 Re z mod 2 (theta(z + 2n) = theta(z) for n in Z^g, exactly).  The items
 sharing tau, eps and z form a group, and one vectorised enumeration
-serves many groups, in passes of about PASS_ROWS rows.  A group sums one
+serves many groups, in passes of about PASS_ROWS rows, each summed group
+by group (_pass_sums, _group_sums).  A group sums one
 point of each pair +-q; the term of -q is that of q with z and delta
 negated, times (-1) ** |alpha| (at z = 0 just (-1) ** (eps . delta + |alpha|)).
 The first delta enters the exponent, each other one is read off 2^g bins
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -44,8 +45,12 @@ MAX_NUMERIC_GENUS = 5
 MAX_DERIV_ORDER = 4  # eval_theta and eval_theta_many; the genus-1 series go to 5
 RANK_REL_TOL = 1e-7  # numerical_rank, relative to the largest singular value
 # Rows of one lattice pass: _jet enumerates the groups of a stack together,
-# cut into passes of about this many rows.  Measured so that no job's peak
-# RSS moves: a g=5 Hessian at tol 1e-13 sums ~4,300 rows in one group.
+# cut into passes of about this many rows.  A trade-off, measured: pairing
+# the ~1,200-row eps groups of a genus-5 even batch (2,346-2,616 rows a
+# pass) makes the batch 0.85x the time of one pass per eps, and 2,048 rows
+# pairs none of them; report-all --g 4's peak RSS reads +0.28 MB at 3,072
+# against +0.12 MB at 1,024 (its stacked spot checks), while loci-test's
+# and report-all --g 5's do not move.
 PASS_ROWS = 3072
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # i ** k for k mod 4
 
@@ -172,11 +177,11 @@ def _ellipsoid_radius(tau, ynorm, order, tol):
 def _ellipsoid_points(factors, epses, radii):
     """(rows, bounds, zeros) for groups k = 0..G-1: the points q of
     epses[k]/2 + Z^g (each eps a g-tuple of 0s and 1s) with
-    q^t Y_k q <= radii[k]^2, one of each pair +-q (the one whose last nonzero
-    coordinate is positive), where Y_k = U^t U for the upper triangular
-    U = factors[k] (factors[0] for every group when it holds one).  Group k
-    holds the rows bounds[k]:bounds[k + 1], and zeros[k] is its row of
-    q = 0, or None.
+    q^t Y_k q <= radii[k]^2, one of each pair +-q (the one whose last
+    nonzero coordinate is positive), where Y_k = U^t U for the upper
+    triangular U = factors[k] (factors[0] for every group when it holds
+    one).  Group k holds the rows bounds[k]:bounds[k + 1], and zeros[k] is
+    its row of q = 0, or None.
 
     Fincke-Pohst, vectorised over the rows of every group: with Y = U^t U,
     q^t Y q = sum_i U_ii^2 (q_i - c_i)^2 where c_i depends only on
@@ -191,31 +196,32 @@ def _ellipsoid_points(factors, epses, radii):
     allocated.
     """
     count, g = len(epses), len(epses[0])
-    shared = len(factors) == 1  # one U for every group: its entries are scalars
-    shifts = np.multiply(epses, 0.5)
+    shared = len(factors) == 1
+    shifts = np.multiply(epses, 0.5).T  # shifts[i][k]: coordinate i of group k's eps/2
     q = np.zeros((count, g))
-    group = np.arange(count)
+    group = np.arange(count)  # the group of each row; rows stay sorted by group
+    at = 0 if shared else group  # the row of factors that each row reads
     zeros = [(k, k) for k in range(count)]  # (group, its row whose coordinates so far are 0)
     # a hair beyond the radius, so rounding cannot drop a point inside it
     remaining = np.array([(radius + 1e-9) ** 2 for radius in radii])
     center = np.zeros(count)
     for i in range(g - 1, -1, -1):
-        pivot = factors[0, i, i] if shared else factors[group, i, i]
-        shift = shifts[0, i] if count == 1 else shifts[group, i]
-        half = np.sqrt(np.maximum(remaining, 0.0)) / pivot
-        # q_i = shift_i + n must lie in [center - half, center + half]
-        first = np.ceil(center - half - shift)
+        half = np.sqrt(np.maximum(remaining, 0.0)) / factors[at, i, i]
+        # n = q_i - shift_i must lie in [low - half, low + half]
+        shift = shifts[i][group]
+        low = center - shift
+        first = np.ceil(low - half)
         for _, row in zeros:
             first[row] = 0.0  # centre 0: keep q_i >= 0
-        counts = np.maximum(np.floor(center + half - shift) - first + 1.0, 0.0)
-        total = counts.sum()
-        counts = counts.astype(np.intp)
+        counts = np.maximum(np.floor(low + half) - first + 1.0, 0.0).astype(np.intp)
         # child k of parent p is its (k - starts[p])-th point on the interval
-        starts = np.cumsum(counts) - counts
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if len(ends) else 0
+        starts = ends - counts
         # an all-0 row's first child is q_i = 0 when shift_i = 0
         zeros = [(k, int(starts[row])) for k, row in zeros if not epses[k][i]]
         if 2 * total > MAX_POINTS:
-            points = 2 * (np.bincount(group, counts, count) if count > 1 else np.array([total]))
+            points = 2 * np.bincount(group, counts, count)
             points[[k for k, _ in zeros]] -= 1
             k = int(np.argmax(points))
             if points[k] > MAX_POINTS:
@@ -224,27 +230,22 @@ def _ellipsoid_points(factors, epses, radii):
                     "budget of %d (near-degenerate Im tau or unreachable tolerance)"
                     % (points[k], radii[k], MAX_POINTS))
         parent = np.arange(counts.size).repeat(counts)
-        qi = (first - starts + shift)[parent] + np.arange(int(total))
+        qi = (first - starts + shift)[parent] + np.arange(total)
         q = q[parent]
         q[:, i] = qi
+        group = group[parent]
         if i:  # what is left of radius^2, and the centres, one layer down
-            if count > 1:
-                group = group[parent]
-            if not shared:
-                pivot = pivot[parent]
-            remaining = remaining[parent] - (pivot * (qi - center[parent])) ** 2
-            if shared:
-                center = -(q[:, i:] @ factors[0, i - 1, i:]) / factors[0, i - 1, i - 1]
-            else:
-                u = factors[group, i - 1]
-                center = -np.einsum("ij,ij->i", q[:, i:], u[:, i:]) / u[:, i - 1]
-    # each group's rows: the children of its parents in the last layer
-    bounds = [0, len(q)] if count == 1 else [0] + np.cumsum(
-        np.bincount(group, counts, count)).astype(int).tolist()
+            at = 0 if shared else group
+            remaining = remaining[parent] - (factors[at, i, i] * (qi - center[parent])) ** 2
+            u = factors[at, i - 1]
+            # one U: a matrix-vector product (a per-row gather and einsum
+            # made a lone eval_theta 8-14% slower at g = 1..4)
+            dots = q[:, i:] @ u[i:] if shared else np.einsum("ij,ij->i", q[:, i:], u[:, i:])
+            center = -dots / u[..., i - 1]
     zero_rows = [None] * count
     for k, row in zeros:
         zero_rows[k] = row
-    return q, bounds, zero_rows
+    return q, np.searchsorted(group, np.arange(count + 1)).tolist(), zero_rows
 
 
 def _parity_phases(q, eps, deltas):
@@ -322,65 +323,82 @@ def _jet(items, multi_indices, tol, max_order):
         group[3].append(row)
         deltas.append(m.delta)
         signs.append((-1) ** scalar_class(m))
+    # a group's rows, one per pair +-q, are about half the volume of its
+    # ellipsoid: half that of the unit ball, times radius^g / sqrt(det Im tau)
+    half_ball = math.pi ** (g / 2) / math.gamma(g / 2 + 1) / 2
     radii, passes, size = {}, [[]], 0.0
     for tau, eps, z, rows in groups.values():
         ynorm = 0.0 if z is None else math.hypot(*z.imag)
         if (id(tau), ynorm) not in radii:
             radii[id(tau), ynorm] = _ellipsoid_radius(tau, ynorm, top, tol)
         radius = radii[id(tau), ynorm]
-        if len(groups) > 1:
-            # about half the points of the ellipsoid: one row per pair +-q
-            volume = (math.pi ** (g / 2) / math.gamma(g / 2 + 1) / 2 * radius**g
-                      / math.prod(tau._cholesky.diagonal()))
-            if passes[-1] and size + volume > PASS_ROWS:
-                passes.append([])
-                size = 0.0
-            size += volume
+        volume = half_ball * radius**g / math.prod(tau._cholesky.diagonal().tolist())
+        if passes[-1] and size + volume > PASS_ROWS:
+            passes.append([])
+            size = 0.0
+        size += volume
         passes[-1].append((tau, eps, z, rows, radius))
     # the sums over the rows q and, away from z = 0, over their pairs -q
     sums = np.empty((2, len(items), len(alphas)), dtype=complex)
     two_sided = []
     for chunk in passes:
-        shared = all(group[0] is chunk[0][0] for group in chunk)  # one tau: one factor
-        q, bounds, zeros = _ellipsoid_points(
-            np.array([tau._cholesky.T for tau, *_ in (chunk[:1] if shared else chunk)]),
-            [eps for _, eps, *_ in chunk],
-            [radius for *_, radius in chunk])
-        monomials = _monomials(q, alphas)
-        for (tau, eps, z, rows, _), start, stop, zero in zip(chunk, bounds, bounds[1:], zeros):
-            part, powers = q[start:stop], monomials[start:stop]
-            # q is real: two real quadratic forms, not a complex N x g product
-            quad = (np.einsum("ij,ij->i", part @ tau.entries.real, part)
-                    + 1j * np.einsum("ij,ij->i", part @ tau.entries.imag, part))
-            # the first delta enters the exponent; every other one is read off
-            # 2^g bins of n mod 2 with the phase exp(pi i q . (delta - delta_0))
-            group_deltas = np.array([deltas[row] for row in rows])
-            first = group_deltas[0]
-            lin = part @ (first if z is None else 2.0 * z + first)
-            exponents = [quad + lin]
-            if z is not None and z.any():
-                exponents.append(quad - lin)
+        for (*_, rows, _), sides in zip(chunk, _pass_sums(chunk, alphas, deltas)):
+            for out, side in zip(sums, sides):
+                out[rows] = side
+            if len(sides) > 1:
                 two_sided += rows
-            if len(rows) > 1:
-                bins, walsh = _parity_phases(part, eps, group_deltas - first)
-            for out, exponent, phases in zip(sums, exponents, ("walsh", "conj")):
-                terms = np.exp(np.pi * 1j * exponent)
-                if zero is not None:
-                    terms[zero - start] = 0.5  # q = 0 is its own pair
-                if len(rows) == 1:
-                    # two real products, not a complex copy of the monomials
-                    out[rows] = terms.real @ powers + 1j * (terms.imag @ powers)
-                    continue
-                binned = np.array([np.bincount(bins, terms.real * col, walsh.shape[1])
-                                   + 1j * np.bincount(bins, terms.imag * col, walsh.shape[1])
-                                   for col in powers.T])
-                out[rows] = (walsh if phases == "walsh" else walsh.conj()) @ binned.T
     # at z = 0 the -q terms are the q terms times (-1) ** (eps . delta)
     plus = sums[0]
     minus = plus * np.array(signs)[:, None]
     if two_sided:
         minus[two_sided] = sums[1][two_sided]
     return (plus + (-1) ** orders * minus) * (2j * np.pi) ** orders
+
+
+def _pass_sums(chunk, alphas, deltas):
+    """The sums of _group_sums for each group (tau, eps, z, rows, radius) of
+    one lattice pass (deltas[row] is the delta of item row).  Nothing of a
+    pass but these sums outlives it, and nothing of a group but its sums."""
+    taus = [tau for tau, *_ in chunk]
+    if all(tau is taus[0] for tau in taus):
+        taus = taus[:1]  # one tau: _ellipsoid_points reads its U as scalars
+    q, bounds, zeros = _ellipsoid_points(np.array([tau._cholesky.T for tau in taus]),
+                                         [eps for _, eps, *_ in chunk],
+                                         [radius for *_, radius in chunk])
+    return [_group_sums(q[start:stop], None if zero is None else zero - start, tau, eps, z,
+                        np.array([deltas[row] for row in rows]), alphas)
+            for (tau, eps, z, rows, _), start, stop, zero in zip(chunk, bounds, bounds[1:], zeros)]
+
+
+def _group_sums(q, zero, tau, eps, z, deltas, alphas):
+    """For the rows q of one (tau, eps, z) group (zero the row of q = 0, or
+    None), the D x K array of sums over q of q ** alpha exp(pi i [q^t tau q +
+    2 q . (z + delta/2)]) for its D deltas, and away from z = 0 the same
+    sums with z and delta negated (the terms of the pairs -q, up to sign):
+    a list of one or two such arrays."""
+    powers = _monomials(q, alphas)
+    # q is real: two real quadratic forms, not a complex N x g product
+    quad = (np.einsum("ij,ij->i", q @ tau.entries.real, q)
+            + 1j * np.einsum("ij,ij->i", q @ tau.entries.imag, q))
+    # the first delta enters the exponent; every other one is read off
+    # 2^g bins of n mod 2 with the phase exp(pi i q . (delta - delta_0))
+    lin = q @ (deltas[0] if z is None else 2.0 * z + deltas[0])
+    if len(deltas) > 1:
+        bins, walsh = _parity_phases(q, eps, deltas - deltas[0])
+    sides = []
+    for negated in (False, True)[:1 + (z is not None and bool(z.any()))]:
+        terms = np.exp(np.pi * 1j * (quad - lin if negated else quad + lin))
+        if zero is not None:
+            terms[zero] = 0.5  # q = 0 is its own pair
+        if len(deltas) == 1:
+            # two real products, not a complex copy of the monomials
+            sides.append((terms.real @ powers + 1j * (terms.imag @ powers))[None])
+            continue
+        binned = np.array([np.bincount(bins, terms.real * col, walsh.shape[1])
+                           + 1j * np.bincount(bins, terms.imag * col, walsh.shape[1])
+                           for col in powers.T])
+        sides.append((walsh.conj() if negated else walsh) @ binned.T)
+    return sides
 
 
 def eval_theta(m, tau, z=None, deriv=None, tol=DEFAULT_TOL):
@@ -395,7 +413,7 @@ def eval_theta_many(m, tau, multi_indices, z=None, tol=DEFAULT_TOL):
     return _jet([(tau, m, z)], multi_indices, tol, MAX_DERIV_ORDER)[0].tolist()
 
 
-def eval_theta_stack(items, tol=DEFAULT_TOL):
+def eval_theta_stack(items, tol):
     """theta_m(tau, z) for each (tau, m, z) of items (z None for 0): one
     kernel call per genus among them, whose lattice passes each enumerate
     many (tau, eps, z) groups at once."""
@@ -504,27 +522,7 @@ def genus1_derivatives(m1, t, orders, tol=DEFAULT_TOL):
     return _jet([(PeriodMatrix([[t]]), m1, None)], orders, tol, 5)[0].tolist()
 
 
-_SYMBOLS = {}  # (t, odd, tol) -> (f, phi, psi): the memo of f_phi_psi
-_MAX_SYMBOLS = 4096  # the memo is emptied before it grows beyond this
-
-
-def _symbols(ts, odd, tol):
-    """f_phi_psi(t, odd, tol) for each t of ts, those not memoised yet from
-    one kernel stack."""
-    known = {t: _SYMBOLS.get((t, odd, tol)) for t in ts}
-    fresh = [t for t, triple in known.items() if triple is None]
-    if fresh:
-        derivatives = _jet([(PeriodMatrix([[t]]), _ODD1 if odd else _EVEN1, None)
-                            for t in fresh],
-                           [(1,), (3,), (5,)] if odd else [(0,), (2,), (4,)], tol, 5)
-        if len(_SYMBOLS) + len(fresh) > _MAX_SYMBOLS:
-            _SYMBOLS.clear()
-        for t, (f, d2, d4) in zip(fresh, derivatives.tolist()):
-            phi = d2 / f
-            known[t] = _SYMBOLS[t, odd, tol] = f, phi, d4 / f - phi**2
-    return [known[t] for t in ts]
-
-
+@lru_cache(maxsize=128)
 def f_phi_psi(t, odd, tol=DEFAULT_TOL):
     """The triple (f, phi, psi) at the genus-1 point t.
 
@@ -532,10 +530,14 @@ def f_phi_psi(t, odd, tol=DEFAULT_TOL):
     psi = theta''''' / theta' - phi^2; for an even column f = theta[0;0](t),
     phi = theta''/theta, psi = theta''''/theta - phi^2.
 
-    Memoised per (t, odd, tol): drawing a diagonal computes the triples that
-    binding the symbols at it reads again.
+    Memoised: drawing a diagonal computes the triples that binding the
+    symbols at it reads again.  Call it as f_phi_psi(t, odd, tol), all
+    positional, so that every caller shares one cache entry.
     """
-    return _symbols([t], odd, tol)[0]
+    f, d2, d4 = genus1_derivatives(_ODD1 if odd else _EVEN1, t,
+                                   (1, 3, 5) if odd else (0, 2, 4), tol=tol)
+    phi = d2 / f
+    return f, phi, d4 / f - phi**2
 
 
 GENERICITY_FLOOR = 1e-3
@@ -545,17 +547,7 @@ MAX_DRAW_TRIES = 200  # per coordinate
 def sample_generic_diagonal(g, l, rng, tol=DEFAULT_TOL):
     """Diagonal entries t_1..t_g with Im t in [0.8, 2.0], Re t in [-0.5, 0.5],
     each redrawn (at most MAX_DRAW_TRIES times) until |psi - 2 phi^2| and
-    |4 phi^2 - psi| exceed GENERICITY_FLOOR (columns 1..l odd, the rest even).
-
-    The first candidate of each coordinate is drawn ahead and the generator
-    put back: their symbols come from one kernel stack per column kind, so
-    a draw with no retry sums at most two stacks, and the draws are those of
-    a coordinate-by-coordinate run."""
-    state = rng.bit_generator.state
-    ahead = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0)) for _ in range(g)]
-    rng.bit_generator.state = state
-    _symbols(ahead[:l], True, tol)
-    _symbols(ahead[l:], False, tol)
+    |4 phi^2 - psi| exceed GENERICITY_FLOOR (columns 1..l odd, the rest even)."""
     t = np.zeros(g, dtype=complex)
     for a in range(g):
         odd = a < l
