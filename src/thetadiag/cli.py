@@ -739,12 +739,7 @@ def run(argv=None):
 
 
 def main():
-    code = run()
-    # the report is out: skip the interpreter's teardown, most of it numpy's
-    # finalisation (~20 ms a job), which writes nothing
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(code)
+    sys.exit(run())
 
 
 if __name__ == "__main__":

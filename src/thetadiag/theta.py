@@ -239,7 +239,7 @@ def _ellipsoid_points(factors, epses, radii):
             remaining = remaining[parent] - (factors[at, i, i] * (qi - center[parent])) ** 2
             u = factors[at, i - 1]
             # one U: a matrix-vector product (a per-row gather and einsum
-            # made a lone eval_theta 8-14% slower at g = 1..4)
+            # made a lone eval_theta up to 9% slower at g = 3, 4)
             dots = q[:, i:] @ u[i:] if shared else np.einsum("ij,ij->i", q[:, i:], u[:, i:])
             center = -dots / u[..., i - 1]
     zero_rows = [None] * count

@@ -512,9 +512,9 @@ class TestInputContract:
         (["report-all", "--g", "0"], EXIT_USAGE),
         (["orbit", "--g", "3", "--seed", "1"], EXIT_USAGE),
     ], ids=["pass", "bad-genus", "unknown-option"])
-    def test_process_ends_without_teardown(self, argv, code, tmp_path):
-        # main skips the interpreter's teardown: the same report, exit code
-        # and one-line error as run() gives in process
+    def test_process_matches_run(self, argv, code, tmp_path):
+        # the CLI process gives the report, exit code and one-line error
+        # that run() gives in process
         proc = cli_process(argv, capture_output=True, text=True)
         assert proc.returncode == code
         if code == EXIT_PASS:
