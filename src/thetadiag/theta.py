@@ -45,13 +45,14 @@ MAX_NUMERIC_GENUS = 5
 MAX_DERIV_ORDER = 4  # eval_theta and eval_theta_many; the genus-1 series go to 5
 RANK_REL_TOL = 1e-7  # numerical_rank, relative to the largest singular value
 # Rows of one lattice pass: _jet enumerates the groups of a stack together,
-# cut into passes of about this many rows.  A trade-off, measured: pairing
-# the ~1,200-row eps groups of a genus-5 even batch (2,346-2,616 rows a
-# pass) makes the batch 0.85x the time of one pass per eps, and 2,048 rows
-# pairs none of them; report-all --g 4's peak RSS reads +0.28 MB at 3,072
-# against +0.12 MB at 1,024 (its stacked spot checks), while loci-test's
-# and report-all --g 5's do not move.
-PASS_ROWS = 3072
+# cut into passes of about this many rows.  A trade-off, measured: at 3,072
+# rows the ~1,200-row eps groups of a genus-5 even batch pair up and the
+# batch takes 0.85x the time, but report-all's stacked spot checks then
+# grow the heap that its forked check processes inherit, and perfbench's
+# report_all peak_rss_mb read 0.12 MB above the parent's (0 of 10 pairs
+# lower); report-all --g 4's main process reads +0.12 MB at 1,024 rows
+# against +0.28 MB at 3,072.
+PASS_ROWS = 1024
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # i ** k for k mod 4
 
 
