@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import gc
 import hashlib
 import io
 import itertools
@@ -740,11 +739,7 @@ def run(argv=None):
 
 
 def main():
-    code = run()
-    # the report is out: the interpreter's last collections need not visit
-    # every live object (their memory is still returned as it tears down)
-    gc.freeze()
-    sys.exit(code)
+    sys.exit(run())
 
 
 if __name__ == "__main__":
