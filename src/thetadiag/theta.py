@@ -47,12 +47,10 @@ RANK_REL_TOL = 1e-7  # numerical_rank, relative to the largest singular value
 # Rows of one lattice pass: _jet enumerates the groups of a stack together,
 # cut into passes of about this many rows.  A trade-off, measured: at 3,072
 # rows the ~1,200-row eps groups of a genus-5 even batch pair up and the
-# batch takes 0.85x the time, but report-all's stacked spot checks then
-# grow the heap that its forked check processes inherit, and perfbench's
-# report_all peak_rss_mb read 0.12 MB above the parent's (0 of 10 pairs
-# lower); report-all --g 4's main process reads +0.12 MB at 1,024 rows
-# against +0.28 MB at 3,072.
-PASS_ROWS = 1024
+# batch takes 0.85x the time (2,048 rows pairs none of them), while
+# report-all --g 4's main process peaks 0.28 MB above the parent's (0.12 MB
+# at 1,024 rows) from its stacked spot checks.
+PASS_ROWS = 3072
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # i ** k for k mod 4
 
 
