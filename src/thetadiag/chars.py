@@ -140,11 +140,9 @@ def sign(m):
     return -1 if scalar_class(m) % 2 else 1
 
 
-def enumerate_characteristics(g, parity_filter=None, class_filter=None):
-    """All 2^{2g} characteristics of genus g, in lexicographic (eps, delta) order.
-
-    parity_filter: EVEN, ODD, or None; class_filter: an integer l or None.
-    """
+def enumerate_characteristics(g, parity_filter=None):
+    """All 2^{2g} characteristics of genus g, in lexicographic (eps, delta)
+    order; only the EVEN or the ODD ones for that parity_filter."""
     if g < 1:
         raise ValueError("genus must be positive")
     if g > MAX_ENUM_GENUS:
@@ -153,8 +151,6 @@ def enumerate_characteristics(g, parity_filter=None, class_filter=None):
     for mask in range(4**g):  # mask order is the lexicographic (eps, delta) order
         l = ((mask >> g) & mask).bit_count()
         if parity_filter is not None and (ODD if l % 2 else EVEN) != parity_filter:
-            continue
-        if class_filter is not None and l != class_filter:
             continue
         out.append(Characteristic._from_mask(mask, g))
     return out

@@ -59,7 +59,8 @@ class ChildLost(Exception):
 def _forked(fn, *args):
     """Run fn(*args) in a forked child while the body of the with block runs;
     the block gets a function that waits for the child and returns fn's
-    value, or raises the exception fn raised.
+    value, or raises the exception fn raised.  What fn allocates is freed
+    with the child: memory, not wall time, is what the fork buys (README).
 
     fn must draw nothing from the job's random generator: the child's copy
     of it is discarded.  The outcome comes back pickled through a pipe; a
@@ -581,7 +582,9 @@ def _cmd_report_all(args, rng):
     """Every acceptance check.  Each builder that draws from rng runs here,
     in report order, so the random streams are those of a sequential run;
     the exact layer and the theta-null rank class (on block points drawn
-    here) draw nothing and run in forked children meanwhile."""
+    here) draw nothing and run in forked children meanwhile, which keeps
+    their memory (the g = 8 count's 32,896 characteristics) out of this
+    process's peak RSS."""
     _require_genus(args.g, 1, theta.MAX_NUMERIC_GENUS)
     with _forked(_exact_checks) as exact_checks:
         checks = []

@@ -72,7 +72,7 @@ class BracketPolynomial:
             self.g, {k: c * rational for k, c in self.terms.items()}
         )
 
-    def times_symbol(self, kind, index, power=1):
+    def times_symbol(self, kind, index):
         """Multiply by phi_index or psi_index."""
         if kind not in ("phi", "psi"):
             raise ValueError("symbol kind must be phi or psi")
@@ -81,7 +81,7 @@ class BracketPolynomial:
         out = {}
         for (n, tau_mono, sym_mono), coeff in self.terms.items():
             sym = dict(sym_mono)
-            sym[(kind, index)] = sym.get((kind, index), 0) + power
+            sym[(kind, index)] = sym.get((kind, index), 0) + 1
             out[(n, tau_mono, tuple(sorted(sym.items())))] = coeff
         return BracketPolynomial(self.g, out)
 
@@ -106,37 +106,6 @@ class BracketPolynomial:
         if not self.terms:
             return None
         return min(sum(e for _, e in t) for _, t, _ in self.terms)
-
-    def to_text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (n, tau_mono, sym_mono), coeff in sorted(self.terms.items()):
-            factors = []
-            if coeff != 1 or (not tau_mono and not sym_mono and n == 0):
-                factors.append(str(coeff))
-            if n:
-                factors.append("(1/(2pii)^%d)" % n)
-            for (kind, idx), e in sym_mono:
-                factors.append("%s_%d%s" % (kind, idx, "^%d" % e if e > 1 else ""))
-            for (a, b), e in tau_mono:
-                factors.append("tau_%d%d%s" % (a, b, "^%d" % e if e > 1 else ""))
-            parts.append("*".join(factors) if factors else "1")
-        return " + ".join(parts)
-
-    def to_json(self):
-        return {
-            "g": self.g,
-            "terms": [
-                {
-                    "coefficient": [coeff.numerator, coeff.denominator],
-                    "twopii_inverse_power": n,
-                    "tau": [[a, b, e] for (a, b), e in tau_mono],
-                    "symbols": [[kind, idx, e] for (kind, idx), e in sym_mono],
-                }
-                for (n, tau_mono, sym_mono), coeff in sorted(self.terms.items())
-            ],
-        }
 
 
 def bracket(indices, g):

@@ -31,12 +31,12 @@ from .chars import (
 )
 from .expand import (bind_symbols, default_ladder, evaluate, fit_slope, grad_leading,
                      normal_form)
+from .symp import act, permutation_element
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
-    _tau_index,
-    _value_and_hessian,
     gradient,
+    hessian,
     numerical_rank,
     tau_jet,
     theta_constants_batch,
@@ -105,10 +105,10 @@ def is_product_orbit(tau, g1, *, theta_tol=DEFAULT_TOL):
     rest = tuple(c for c in range(1, g + 1) if c not in first)
     if not (first and rest) or sorted(first + rest) != list(range(1, g + 1)):
         raise ValueError("need a proper nonempty set of distinct columns in 1..%d" % g)
-    where = np.argsort(first + rest)  # column c is entry where[c - 1] of m1 joined to m2
+    # the permutation sending column i of m1 joined to m2 to column (first + rest)[i]
+    move = permutation_element(first + rest)
     odd2 = enumerate_characteristics(len(rest), parity_filter=ODD)
-    chars = [Characteristic(tuple(np.take(m1.eps + m2.eps, where).tolist()),
-                            tuple(np.take(m1.delta + m2.delta, where).tolist()))
+    chars = [act(move, Characteristic(m1.eps + m2.eps, m1.delta + m2.delta))
              for m1 in enumerate_characteristics(len(first), parity_filter=ODD)
              for m2 in odd2]
     # odd on one factor plus odd on the other is even
@@ -121,11 +121,15 @@ def is_product_orbit(tau, g1, *, theta_tol=DEFAULT_TOL):
 
 
 def thetanull_rank_class(tau, m, *, theta_tol=DEFAULT_TOL):
-    """(is_null, rank): whether theta_m vanishes relative to the even scale,
-    and the numerical rank of the z-Hessian of theta_m at z=0."""
-    scale, _ = even_scale(tau, theta_tol)
-    value, h = _value_and_hessian(m, tau, tol=theta_tol)
-    return abs(value) < DEFAULT_VANISH_TOL * scale, numerical_rank(h)
+    """(is_null, rank): whether theta_m, read from the even batch, vanishes
+    relative to the even scale, and the numerical rank of the z-Hessian of
+    theta_m at z=0.  ValueError unless m is an even characteristic of tau's
+    genus."""
+    scale, values = even_scale(tau, theta_tol)
+    value = values.get(m)
+    if value is None:
+        raise ValueError("%s is not an even characteristic of genus %d" % (m.compact(), tau.g))
+    return abs(value) < DEFAULT_VANISH_TOL * scale, numerical_rank(hessian(m, tau, theta_tol))
 
 
 def hyperelliptic_vanishing_test(tau, *, theta_tol=DEFAULT_TOL):
@@ -297,6 +301,13 @@ def _random_weights(rng, g):
 
 
 NEWTON_MAX_PASSES = 40
+
+
+def _tau_index(g, pairs):
+    """0-based (rows, cols) of 1-based pairs (j, k); ValueError unless 1 <= j, k <= g."""
+    if not all(1 <= int(j) <= g and 1 <= int(k) <= g for j, k in pairs):
+        raise ValueError("tau coordinates %r out of range 1..%d" % (pairs, g))
+    return (np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1).T
 
 
 def newton_onto(chars, tau, coords, theta_tol=DEFAULT_TOL):

@@ -63,10 +63,6 @@ class SpMod2Element:
         g = self.g
         return SpMod2Element(m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:])
 
-    def inverse(self):
-        # over Z_2 the symplectic inverse is [[D^t, B^t], [C^t, A^t]]
-        return SpMod2Element(self.d.T.copy(), self.b.T.copy(), self.c.T.copy(), self.a.T.copy())
-
     def key(self):
         return self.matrix().tobytes()
 
@@ -98,12 +94,6 @@ class SpMod2Element:
 
         g = self.g
         return g, table(range(g)), table(range(g, 2 * g)), to_mask(shift)
-
-    @staticmethod
-    def identity(g):
-        eye = np.eye(g, dtype=np.uint8)
-        zero = np.zeros((g, g), dtype=np.uint8)
-        return SpMod2Element(eye, zero, zero.copy(), eye.copy())
 
     @staticmethod
     def from_blocks(a, b, c, d):
@@ -287,12 +277,3 @@ GENERATOR_SETS = {
     "Gg": group_generators,
     "stab_diagonal": stab_diagonal_generators,
 }
-
-
-def random_element(g, rng, n_factors=12):
-    """A pseudo-random element: a word in the G_g generators."""
-    gens = group_generators(g)
-    el = SpMod2Element.identity(g)
-    for _ in range(n_factors):
-        el = el * gens[rng.integers(len(gens))]
-    return el

@@ -114,14 +114,16 @@ class PeriodMatrix:
     @staticmethod
     def from_json(obj):
         """The inverse of to_json, from the object or its JSON text; ValueError
-        unless it holds g and a g x g array of [re, im] number pairs."""
+        unless it holds an int g and a g x g array of [re, im] number pairs."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         pairs = np.asarray(obj.get("entries") if isinstance(obj, dict) else None)
         if (pairs.dtype.kind not in "iuf" or pairs.ndim != 3
                 or pairs.shape[1:] != (pairs.shape[0], 2)):
             raise ValueError("entries must be a g x g array of [re, im] number pairs")
-        if obj.get("g") != pairs.shape[0]:
+        if type(obj.get("g")) is not int:  # true and 1.0 equal 1, but are no genus
+            raise ValueError("declared g must be an integer, not %r" % (obj.get("g"),))
+        if obj["g"] != pairs.shape[0]:
             raise ValueError("declared g does not match entries shape")
         return PeriodMatrix(np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0])
 
@@ -212,22 +214,24 @@ def _ellipsoid_points(factors, epses, radii):
         first = np.ceil(low - half)
         for _, row in zeros:
             first[row] = 0.0  # centre 0: keep q_i >= 0
-        counts = np.maximum(np.floor(low + half) - first + 1.0, 0.0).astype(np.intp)
-        # child k of parent p is its (k - starts[p])-th point on the interval
-        ends = np.cumsum(counts)
-        total = int(ends[-1]) if len(ends) else 0
-        starts = ends - counts
-        # an all-0 row's first child is q_i = 0 when shift_i = 0
-        zeros = [(k, int(starts[row])) for k, row in zeros if not epses[k][i]]
-        if 2 * total > MAX_POINTS:
+        # checked as floats: a near-degenerate Im tau gives counts past intp
+        counts = np.maximum(np.floor(low + half) - first + 1.0, 0.0)
+        if 2 * counts.sum() > MAX_POINTS:
             points = 2 * np.bincount(group, counts, count)
-            points[[k for k, _ in zeros]] -= 1
+            points[[k for k, _ in zeros if not epses[k][i]]] -= 1
             k = int(np.argmax(points))
             if points[k] > MAX_POINTS:
                 raise ValueError(
                     "theta sum needs %.3g lattice points at radius %d, above the "
                     "budget of %d (near-degenerate Im tau or unreachable tolerance)"
                     % (points[k], radii[k], MAX_POINTS))
+        counts = counts.astype(np.intp)
+        # child k of parent p is its (k - starts[p])-th point on the interval
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if len(ends) else 0
+        starts = ends - counts
+        # an all-0 row's first child is q_i = 0 when shift_i = 0
+        zeros = [(k, int(starts[row])) for k, row in zeros if not epses[k][i]]
         parent = np.arange(counts.size).repeat(counts)
         qi = (first - starts + shift)[parent] + np.arange(total)
         q = q[parent]
@@ -331,7 +335,8 @@ def _jet(items, multi_indices, tol, max_order):
         if (id(tau), ynorm) not in radii:
             radii[id(tau), ynorm] = _ellipsoid_radius(tau, ynorm, top, tol)
         radius = radii[id(tau), ynorm]
-        volume = half_ball * radius**g / math.prod(tau._cholesky.diagonal().tolist())
+        root_det = math.prod(tau._cholesky.diagonal().tolist())  # 0.0 once it underflows
+        volume = half_ball * radius**g / root_det if root_det else math.inf
         if passes[-1] and size + volume > PASS_ROWS:
             passes.append([])
             size = 0.0
@@ -459,14 +464,6 @@ def hessian(m, tau, tol=DEFAULT_TOL):
     return _symmetric(m.g, eval_theta_many(m, tau, _second_order(m.g), tol=tol))
 
 
-def _value_and_hessian(m, tau, tol=DEFAULT_TOL):
-    """theta_m and its z-Hessian at z=0 from one lattice pass (the value is
-    summed to the Hessian's radius)."""
-    g = m.g
-    value, *second = eval_theta_many(m, tau, [(0,) * g] + _second_order(g), tol=tol)
-    return value, _symmetric(g, second)
-
-
 def tau_jet(tau, chars, tol=DEFAULT_TOL):
     """(values, gradients): theta_m at z=0 for each m of chars and its
     tau-gradient as a symmetric g x g array, from one lattice pass per eps.
@@ -478,22 +475,9 @@ def tau_jet(tau, chars, tol=DEFAULT_TOL):
     return jet[:, 0], np.array([_symmetric(g, row) for row in jet[:, 1:]]) / heat
 
 
-def _tau_index(g, pairs):
-    """0-based (rows, cols) of 1-based pairs (j, k); ValueError unless 1 <= j, k <= g."""
-    if not all(1 <= int(j) <= g and 1 <= int(k) <= g for j, k in pairs):
-        raise ValueError("tau coordinates %r out of range 1..%d" % (pairs, g))
-    return (np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1).T
-
-
 def tau_gradient(m, tau, tol=DEFAULT_TOL):
     """All d theta_m / d tau_jk at z=0, as a symmetric g x g array (tau_jet)."""
     return tau_jet(tau, [m], tol)[1][0]
-
-
-def tau_derivative(m, tau, pair, tol=DEFAULT_TOL):
-    """d theta_m / d tau_jk at z=0 for the 1-based pair (j, k)."""
-    j, k = _tau_index(m.g, [pair])[:, 0]
-    return complex(tau_gradient(m, tau, tol=tol)[j, k])
 
 
 def numerical_rank(matrix):

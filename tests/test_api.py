@@ -1,5 +1,6 @@
 """The public surface: a refactor may not drop or rename a name silently."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -78,11 +79,9 @@ def test_characteristic_is_frozen():
     assert m == Characteristic((1, 0), (0, 1))
 
 
-def defaulted_parameters():
-    """{"module.function" or "module.Class.method": [defaulted parameters]}
-    over every public function and method (constructors included) of the
-    layer modules; tests/data/api_defaults.json is its JSON dump."""
-    surface = {}
+def public_callables():
+    """("layer.function" or "layer.Class.method", function) for every public
+    function and method (constructors included) of the layer modules."""
     for layer in LAYERS:
         module = importlib.import_module("thetadiag." + layer)
         for name, obj in vars(module).items():
@@ -98,16 +97,54 @@ def defaulted_parameters():
             else:
                 continue
             for qualname, fn in members:
-                surface["%s.%s" % (layer, qualname)] = [
-                    p.name for p in inspect.signature(fn).parameters.values()
-                    if p.default is not inspect.Parameter.empty]
-    return surface
+                yield "%s.%s" % (layer, qualname), fn
+
+
+def defaulted_parameters():
+    """{"module.function" or "module.Class.method": [defaulted parameters]}
+    over public_callables(); tests/data/api_defaults.json is its JSON dump."""
+    return {name: [p.name for p in inspect.signature(fn).parameters.values()
+                   if p.default is not inspect.Parameter.empty]
+            for name, fn in public_callables()}
 
 
 def test_defaulted_parameters_are_pinned():
     # every threshold is a module constant, not a parameter a caller can loosen
     snapshot = Path(__file__).with_name("data") / "api_defaults.json"
     assert defaulted_parameters() == json.loads(snapshot.read_text())
+
+
+# public names that nothing in the package calls, each kept for a reason
+UNCALLED = {
+    "expand.BracketPolynomial.min_degree":
+        "the tests of the expansions' leading degrees read it; ROADMAP item 11 builds on it",
+    "expand.hessian_minor": "ROADMAP item 11 gives it a caller in a check",
+    "theta.PeriodMatrix.to_json": "it writes the --tau file format that from_json reads",
+}
+
+
+def referenced_names():
+    """Every name the package's modules read, as a variable or an attribute:
+    definitions, docstrings, imports and the re-exports of __init__.py do
+    not count."""
+    names = set()
+    for path in Path(thetadiag.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    referenced = referenced_names()
+    uncalled = {name for name, _ in public_callables()
+                if not name.endswith(".__init__") and name.split(".")[-1] not in referenced}
+    assert uncalled == set(UNCALLED)
+    assert len(UNCALLED) <= 3 and all(UNCALLED.values())
 
 
 def test_thresholds_are_read_when_called(monkeypatch):

@@ -37,15 +37,13 @@ def characteristics(g):
     return st.tuples(bits(g), bits(g)).map(lambda p: Characteristic(*p))
 
 
-def reference_enumeration(g, parity_filter=None, class_filter=None):
+def reference_enumeration(g, parity_filter=None):
     """enumerate_characteristics by itertools.product over bit tuples."""
     out = []
     for eps in itertools.product((0, 1), repeat=g):
         for delta in itertools.product((0, 1), repeat=g):
             m = Characteristic(eps, delta)
             if parity_filter is not None and parity(m) != parity_filter:
-                continue
-            if class_filter is not None and scalar_class(m) != class_filter:
                 continue
             out.append(m)
     return out
@@ -150,10 +148,9 @@ class TestParity:
 
     def test_enumeration_filters(self):
         evens = enumerate_characteristics(3, parity_filter=EVEN)
-        assert len(evens) == 36
-        e2 = enumerate_characteristics(3, parity_filter=EVEN, class_filter=2)
-        assert all(scalar_class(m) == 2 and is_even(m) for m in e2)
-        assert len(e2) == 3 * 3  # choose the two (1,1) columns, 3 even rest
+        odds = enumerate_characteristics(3, parity_filter=ODD)
+        assert (len(evens), len(odds)) == (36, 28)
+        assert all(map(is_even, evens)) and not any(map(is_even, odds))
 
     def test_enumeration_bound(self):
         with pytest.raises(ValueError):
@@ -162,9 +159,8 @@ class TestParity:
     @pytest.mark.parametrize("g", range(1, 6))
     def test_enumeration_matches_reference(self, g):
         for parity_filter in (None, EVEN, ODD):
-            for class_filter in (None,) + tuple(range(g + 1)):
-                assert enumerate_characteristics(g, parity_filter, class_filter) == \
-                    reference_enumeration(g, parity_filter, class_filter)
+            assert enumerate_characteristics(g, parity_filter) == \
+                reference_enumeration(g, parity_filter)
 
 
 class TestMasks:

@@ -437,18 +437,34 @@ class TestInputContract:
         {"g": 2, "entries": [[["a", 1], [0, 0]], [[0, 0], [0, 1]]]},
         {"g": 2, "entries": [[0, 1], [0, 0]]},
         [1, 2],
-    ], ids=["string-entry", "flat", "top-level-list"])
+        {"g": True, "entries": [[[0, 1]]]},
+        {"g": 1.0, "entries": [[[0, 1]]]},
+    ], ids=["string-entry", "flat", "top-level-list", "g-true", "g-float"])
     def test_malformed_tau_file(self, command, obj, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         assert run(command + ["--tau", str(path)]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: cannot load period matrix")
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load period matrix") and err.count("\n") == 1
 
     def test_loci_test_tau_beyond_the_point_budget(self, tmp_path, capsys):
         path = tmp_path / "degenerate.json"
         path.write_text(json.dumps(PeriodMatrix.diagonal([0.02j] * 5).to_json()))
         assert run(["loci-test", "--tau", str(path)]) == EXIT_USAGE
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["theta-eval", "--char", "[00;00]"],
+        ["loci-test"],
+    ])
+    @pytest.mark.parametrize("y", [1e-100, 1e-300, 5e-324])
+    def test_tau_with_tiny_im_part_beyond_the_point_budget(self, command, y, tmp_path):
+        # a fresh interpreter, so that a numpy warning would reach stderr
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(PeriodMatrix.diagonal([y * 1j, 1j]).to_json()))
+        proc = cli_process(command + ["--tau", str(path)], capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.count("\n") == 1 and "budget of %d" % theta.MAX_POINTS in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ["expand-verify", "--g", "4", "--directions", "0"],

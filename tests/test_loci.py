@@ -184,13 +184,20 @@ class TestRankClass:
         assert is_null and rank == 2
 
     def test_sums_one_single_evaluation_pass_after_the_even_batch(self, kernel):
-        # theta_m and its z-Hessian come from one lattice pass at eps(m)
+        # theta_m is read from the batch; its z-Hessian is one lattice pass
+        # at eps(m)
         tau = PeriodMatrix.diagonal([1.1j, 1.2j, 0.9j, 1.3j])
         even_scale(tau, theta.DEFAULT_TOL)  # the batch, as the detector reads it
         batch_passes = len(kernel.passes)
         is_null, rank = thetanull_rank_class(tau, _m0(4))
         assert is_null and rank == 2
         assert [epses for epses, _ in kernel.passes[batch_passes:]] == [[(1, 1, 0, 0)]]
+
+    @pytest.mark.parametrize("m", ["[1000;1000]", "[110;110]"])
+    def test_characteristic_outside_the_even_batch_rejected(self, m):
+        tau = PeriodMatrix.diagonal([1.1j, 1.2j, 0.9j, 1.3j])
+        with pytest.raises(ValueError, match="not an even characteristic of genus 4"):
+            thetanull_rank_class(tau, Characteristic.parse(m))
 
 
 class TestHyperellipticVanishing:
@@ -526,8 +533,9 @@ class TestNewtonOnto:
         assert jacobian.shape == (10, 3)
         assert numerical_rank(jacobian) == 3
 
-    @pytest.mark.parametrize("coords", [[(0, 1)], [(1, 2), (5, 1)]])
+    @pytest.mark.parametrize("coords", [[(0, 1)], [(1, 2), (5, 1)], [(1, 0)], [(1, 5)], [(5, 1)]])
     def test_coords_out_of_range(self, coords):
+        # (0, 1) would otherwise wrap round to the last row
         with pytest.raises(ValueError, match="out of range"):
             newton_onto([_m0(4)], PeriodMatrix.diagonal([1j] * 4), coords)
 

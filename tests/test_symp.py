@@ -29,7 +29,6 @@ from thetadiag.symp import (
     group_generators,
     orbit,
     permutation_element,
-    random_element,
     sigma0,
     stab_diagonal_generators,
     verify_transitivity,
@@ -47,15 +46,29 @@ def act_oracle(sigma, m):
     return Characteristic(tuple(int(x) for x in new_eps), tuple(int(x) for x in new_delta))
 
 
+def identity(g):
+    eye, zero = np.eye(g, dtype=int), np.zeros((g, g), dtype=int)
+    return SpMod2Element.from_blocks(eye, zero, zero, eye)
+
+
+def random_word(g, rng, length=12):
+    """A pseudo-random element: a word in the G_g generators."""
+    gens = group_generators(g)
+    el = identity(g)
+    for _ in range(length):
+        el = el * gens[rng.integers(len(gens))]
+    return el
+
+
 def elements_under_test(g, rng):
     """Every generator of every registered set, plus random words."""
     gens = [gen for make in GENERATOR_SETS.values() for gen in make(g)]
-    return gens + [random_element(g, rng) for _ in range(10)]
+    return gens + [random_word(g, rng) for _ in range(10)]
 
 
 class TestSpMod2Element:
     def test_identity_is_symplectic(self):
-        assert SpMod2Element.identity(3).is_symplectic()
+        assert identity(3).is_symplectic()
 
     def test_rejects_non_symplectic(self):
         with pytest.raises(ValueError):
@@ -65,14 +78,15 @@ class TestSpMod2Element:
     def test_inverse(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            el = random_element(3, rng)
-            prod = el * el.inverse()
-            assert (prod.matrix() == SpMod2Element.identity(3).matrix()).all()
+            el = random_word(3, rng)
+            # over Z_2 the symplectic inverse is [[D^t, B^t], [C^t, A^t]]
+            prod = el * SpMod2Element.from_blocks(el.d.T, el.b.T, el.c.T, el.a.T)
+            assert (prod.matrix() == identity(3).matrix()).all()
 
     def test_product_is_symplectic(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            assert (random_element(2, rng) * random_element(2, rng)).is_symplectic()
+            assert (random_word(2, rng) * random_word(2, rng)).is_symplectic()
 
 
 class TestAction:
@@ -80,7 +94,7 @@ class TestAction:
         rng = np.random.default_rng(2)
         chars3 = enumerate_characteristics(3)
         for _ in range(25):
-            s1, s2 = random_element(3, rng), random_element(3, rng)
+            s1, s2 = random_word(3, rng), random_word(3, rng)
             m = chars3[rng.integers(len(chars3))]
             assert act(s1 * s2, m) == act(s1, act(s2, m))
 
@@ -88,12 +102,12 @@ class TestAction:
         rng = np.random.default_rng(3)
         for g in (2, 3):
             for m in enumerate_characteristics(g):
-                el = random_element(g, rng)
+                el = random_word(g, rng)
                 assert parity(act(el, m)) == parity(m)
 
     def test_identity_acts_trivially(self):
         for m in enumerate_characteristics(2):
-            assert act(SpMod2Element.identity(2), m) == m
+            assert act(identity(2), m) == m
 
     def test_sigma0_moves_zero_to_full(self):
         assert act(sigma0(), Characteristic.zero(2)).compact() == "[11;11]"
@@ -119,7 +133,7 @@ class TestAction:
 
     def test_genus_mismatch(self):
         with pytest.raises(ValueError):
-            act(SpMod2Element.identity(2), Characteristic.zero(3))
+            act(identity(2), Characteristic.zero(3))
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_compiled_action_matches_matrix_formula(self, g):
@@ -199,8 +213,8 @@ class TestOrbits:
         assert gamma1_s().is_symplectic()
         assert gamma1_t().is_symplectic()
         # the two generate all six elements of SL(2, Z_2)
-        seen = {SpMod2Element.identity(1).key()}
-        frontier = [SpMod2Element.identity(1)]
+        seen = {identity(1).key()}
+        frontier = [identity(1)]
         while frontier:
             nxt = []
             for el in frontier:

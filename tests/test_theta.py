@@ -33,7 +33,6 @@ from thetadiag.theta import (
     hessian,
     numerical_rank,
     sample_generic_diagonal,
-    tau_derivative,
     tau_gradient,
     tau_jet,
     theta_constants_batch,
@@ -142,6 +141,9 @@ class TestPeriodMatrix:
         obj["g"] = 3
         with pytest.raises(ValueError):
             PeriodMatrix.from_json(obj)
+        for g in (True, 1.0, "1", None):  # True == 1 and 1.0 == 1, but no genus
+            with pytest.raises(ValueError, match="declared g must be an integer"):
+                PeriodMatrix.from_json({"g": g, "entries": [[[0.0, 1.0]]]})
 
     def test_genus1_factor_is_lapack_bit_for_bit(self):
         # sqrt(Im t) and Im t, without the LAPACK calls, on 1,000 random t
@@ -388,23 +390,19 @@ class TestDerivatives:
                 eval_theta(m, tau.perturbed(direction, h))
                 - eval_theta(m, tau.perturbed(direction, -h))
             ) / (2 * h)
-            an = tau_derivative(m, tau, (j, k))
+            an = tau_gradient(m, tau)[j - 1, k - 1]
             assert abs(fd - an) < 1e-6 * max(1.0, abs(an))
 
     def test_tau_gradient_matches_tau_derivative(self):
+        # each d theta / d tau_jk, by the heat equation from the z-Hessian
         tau = _random_tau(3, np.random.default_rng(8))
         m = Characteristic.parse("[110;110]")
-        grad = tau_gradient(m, tau)
+        grad, hess = tau_gradient(m, tau), hessian(m, tau)
         for j in range(1, 4):
             for k in range(j, 4):
-                assert abs(grad[j - 1, k - 1] - tau_derivative(m, tau, (j, k))) < 1e-12
-
-    @pytest.mark.parametrize("pair", [(0, 1), (4, 1), (1, 0), (1, 4)])
-    def test_tau_derivative_rejects_pair_out_of_range(self, pair):
-        # (0, 1) would otherwise wrap round to the last row
-        tau = _random_tau(3, np.random.default_rng(8))
-        with pytest.raises(ValueError, match="out of range"):
-            tau_derivative(Characteristic.parse("[110;110]"), tau, pair)
+                heat = 4j * np.pi if j == k else 2j * np.pi
+                assert grad[k - 1, j - 1] == grad[j - 1, k - 1]
+                assert abs(grad[j - 1, k - 1] - hess[j - 1, k - 1] / heat) < 1e-12
 
     @pytest.mark.parametrize("g", (2, 3, 4, 5))
     def test_tau_jet_matches_independent_paths(self, g):
@@ -604,6 +602,20 @@ class TestStackedKernel:
         assert [n for _, counts in kernel.passes for n in counts] == list(rows.values())
         for row, one in zip(stacked, alone):
             assert np.abs(row - one).max() <= 1e-13 * np.abs(one).max()
+
+    @pytest.mark.parametrize("diagonal", [[1e-100j, 1j], [1e-300j, 1j], [5e-324j, 1j],
+                                          [1e-300j] * 5],
+                             ids=["1e-100", "1e-300", "5e-324", "1e-300-g5"])
+    def test_point_budget_refuses_tiny_im_tau(self, diagonal):
+        # interval counts past intp, and sqrt(det Im tau) underflowing to 0
+        # at g = 5, are refused by the budget, in a stack and alone
+        tiny = PeriodMatrix.diagonal(diagonal)
+        good = PeriodMatrix.diagonal([1.1j] * tiny.g)
+        m = Characteristic.zero(tiny.g)
+        with pytest.raises(ValueError, match="budget of %d" % MAX_POINTS):
+            eval_theta(m, tiny)
+        with pytest.raises(ValueError, match="budget of %d" % MAX_POINTS):
+            eval_theta_stack([(good, m, None), (tiny, m, None)], DEFAULT_TOL)
 
     def test_point_budget_refusal_inside_a_stack(self):
         bad, good = PeriodMatrix.diagonal([0.02j] * 5), PeriodMatrix.diagonal([1.1j] * 5)
