@@ -59,8 +59,9 @@ class ChildLost(Exception):
 def _forked(fn, *args):
     """Run fn(*args) in a forked child while the body of the with block runs;
     the block gets a function that waits for the child and returns fn's
-    value, or raises the exception fn raised.  What fn allocates is freed
-    with the child: memory, not wall time, is what the fork buys (README).
+    value, or raises the exception fn raised.  What fn allocates stays in
+    the child and is freed when it ends; that memory isolation, not wall
+    time, is what the fork buys (see the README).
 
     fn must draw nothing from the job's random generator: the child's copy
     of it is discarded.  The outcome comes back pickled through a pipe; a
