@@ -533,7 +533,8 @@ class TestNewtonOnto:
         assert jacobian.shape == (10, 3)
         assert numerical_rank(jacobian) == 3
 
-    @pytest.mark.parametrize("coords", [[(0, 1)], [(1, 2), (5, 1)], [(1, 0)], [(1, 5)], [(5, 1)]])
+    @pytest.mark.parametrize("coords", [[(0, 1)], [(1, 2), (5, 1)], [(1, 0)], [(1, 5)], [(5, 1)],
+                                        [(1, 2), (0, 1)]])
     def test_coords_out_of_range(self, coords):
         # (0, 1) would otherwise wrap round to the last row
         with pytest.raises(ValueError, match="out of range"):
