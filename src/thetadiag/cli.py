@@ -137,6 +137,16 @@ def _parse_directions(text):
     return count
 
 
+def _parse_seed(text):
+    try:
+        seed = int(text)
+    except ValueError:
+        raise UsageError("cannot parse seed %r" % text)
+    if seed < 0:
+        raise UsageError("seed must be a whole number >= 0: %r" % text)
+    return seed
+
+
 def _require_genus(g, lo, hi):
     if not lo <= g <= hi:
         raise UsageError("need %d <= g <= %d" % (lo, hi))
@@ -629,7 +639,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     shared = {
         "--g": dict(type=int, default=4),
-        "--seed": dict(type=int, default=0),
+        "--seed": dict(type=_parse_seed, default=0),
         "--tol": dict(type=_parse_tol, default=theta.DEFAULT_TOL,
                       help="truncation tolerance of the theta sums"),
         "--out": dict(default=None, help="report path (default stdout)"),
@@ -711,7 +721,7 @@ def _write_report(report, out, fmt):
 def run(argv=None):
     parser = _build_parser()
     try:
-        # argparse and the --tol and --directions types raise UsageError
+        # argparse and the --tol, --directions and --seed types raise UsageError
         args = parser.parse_args(argv)
         checks = args.func(args, np.random.default_rng(args.seed))
         if not checks:

@@ -7,8 +7,8 @@ and the coefficient is divided by prod d_{ab}! for repeated factors.
 Every term carries a tracked power of u = 1/(2 pi i), one per matched pair.
 
 Coefficients are exact rationals times formal monomials in the symbols
-phi_1..phi_g, psi_1..psi_g, which are bound to genus-1 theta derivative
-ratios only at evaluation time.
+phi_1..phi_g, psi_1..psi_g, which evaluate reads from the values its caller
+gives (bind_symbols gives the genus-1 theta derivative ratios).
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class BracketPolynomial:
 
     def is_zero(self):
         return not self.terms
-
-    @staticmethod
-    def zero(g):
-        return BracketPolynomial(g)
 
     @staticmethod
     def one(g):
@@ -156,30 +152,25 @@ def _perfect_matchings_of(positions):
             yield [(first, positions[i])] + sub
 
 
-def x_poly(l, g):
-    """X_l = [1,...,l]."""
-    return bracket(range(1, l + 1), g)
-
-
-def y_poly(l, g):
-    """Y_l = sum over alpha of phi_alpha [alpha, alpha, 1,...,l]."""
-    out = BracketPolynomial.zero(g)
+def _phi_corrected(indices, g):
+    """[indices] + sum over alpha of phi_alpha [alpha, alpha, indices], its
+    terms added in that order (evaluate sums them in insertion order)."""
+    out = bracket(indices, g)
     for alpha in range(1, g + 1):
-        out = out + bracket([alpha, alpha] + list(range(1, l + 1)), g).times_symbol(
-            "phi", alpha
-        )
+        out = out + bracket([alpha, alpha] + list(indices), g).times_symbol("phi", alpha)
     return out
 
 
 def theta_leading(l, g):
-    """X_l + Y_l: the two lowest-order terms of theta for the normal-form
+    """X_l + Y_l, the two lowest-order terms of theta for the normal-form
     even characteristic with l leading (1,1) columns (l even; the
-    prod f_alpha prefactor is bound at evaluation, not included here)."""
+    prod f_alpha prefactor is bound at evaluation, not included here):
+    X_l = [1,...,l] and Y_l = sum over alpha of phi_alpha [alpha, alpha, 1,...,l]."""
     if not 2 <= l <= g:
         raise ValueError("need 2 <= l <= g")
     if l % 2:
         raise ValueError("theta_leading requires even l")
-    return x_poly(l, g) + y_poly(l, g)
+    return _phi_corrected(range(1, l + 1), g)
 
 
 def grad_leading(l, g, a):
@@ -190,11 +181,7 @@ def grad_leading(l, g, a):
     if not 1 <= a <= g:
         raise ValueError("direction out of range")
     if a <= l:
-        kept = [x for x in range(1, l + 1) if x != a]
-        out = bracket(kept, g)
-        for alpha in range(1, g + 1):
-            out = out + bracket([alpha, alpha] + kept, g).times_symbol("phi", alpha)
-        return out
+        return _phi_corrected([x for x in range(1, l + 1) if x != a], g)
     base = list(range(1, l + 1))
     out = bracket([a] + base, g).times_symbol("phi", a)
     out = out + bracket([a, a, a] + base, g).times_symbol("psi", a)
@@ -221,31 +208,19 @@ def hessian_minor(rows, cols, g):
 
 def _hessian_entry(a, b, g):
     a, b = min(a, b), max(a, b)
-    x2 = x_poly(2, g)
     if a == b:
-        if a <= 2:
-            # (J,J): (phi_J (X2+Y2) + psi_J X2) / 2
-            p = (x2 + y_poly(2, g)).times_symbol("phi", a) + x2.times_symbol("psi", a)
-            return p.scale(Fraction(1, 2))
+        # (J,J): (phi_J (X2+Y2) + psi_J X2) / 2, with X2 + Y2 = theta_leading(2, g);
         # (j,j): (phi_j (X2+Y2) + psi_j [j,j,1,2]) / 2
-        p = (x2 + y_poly(2, g)).times_symbol("phi", a) + bracket(
-            [a, a, 1, 2], g
-        ).times_symbol("psi", a)
+        p = _phi_corrected([1, 2], g).times_symbol("phi", a) + bracket(
+            [1, 2] if a <= 2 else [a, a, 1, 2], g).times_symbol("psi", a)
         return p.scale(Fraction(1, 2))
     if a <= 2 and b <= 2:
         # (1,2): 1; its correction brackets [alpha, alpha] vanish identically
         return BracketPolynomial.one(g)
     if a <= 2:
-        # (J, j): phi_j [other, j] + phi_j sum phi_alpha [alpha, alpha, other, j]
-        other = 3 - a
-        out = bracket([other, b], g).times_symbol("phi", b)
-        for alpha in range(1, g + 1):
-            out = out + (
-                bracket([alpha, alpha, other, b], g)
-                .times_symbol("phi", alpha)
-                .times_symbol("phi", b)
-            )
-        return out
+        # (J, j): phi_j [other, j] + phi_j sum phi_alpha [alpha, alpha, other, j],
+        # other = 3 - J
+        return _phi_corrected([3 - a, b], g).times_symbol("phi", b)
     # (j,k): phi_j phi_k [j,k,1,2]
     return bracket([a, b, 1, 2], g).times_symbol("phi", a).times_symbol("phi", b)
 
@@ -264,32 +239,20 @@ def bind_symbols(t, l, tol=theta_mod.DEFAULT_TOL):
     return np.array(fs), np.array(phis), np.array(psis)
 
 
-def evaluate(pbp, t, offdiag, l, tol=theta_mod.DEFAULT_TOL):
-    """Numeric value of the polynomial: tau variables from `offdiag`
-    (a dict (a,b) -> complex with 1-based a < b), phi/psi symbols bound via
-    genus-1 theta derivatives at t (columns 1..l odd, the rest even), and
-    each term multiplied by its tracked power of 1/(2 pi i).
-    """
-    _, phis, psis = bind_symbols(t, l, tol=tol)
+def evaluate(pbp, tau_entries, phis, psis):
+    """Numeric value of the polynomial: each tau_ab (1-based a < b) read from
+    the matrix tau_entries, phi_a and psi_a from phis[a - 1] and psis[a - 1],
+    and each term multiplied by its tracked power of 1/(2 pi i).  The terms
+    are summed in insertion order."""
     total = 0j
     for (n, tau_mono, sym_mono), coeff in pbp.terms.items():
-        value = complex(Fraction(coeff)) / TWO_PI_I**n
+        value = complex(coeff) / TWO_PI_I**n
         for (a, b), e in tau_mono:
-            value *= offdiag.get((a, b), 0j) ** e
+            value *= tau_entries[a - 1, b - 1] ** e
         for (kind, idx), e in sym_mono:
             value *= (phis if kind == "phi" else psis)[idx - 1] ** e
         total += value
     return total
-
-
-def offdiag_of(tau_entries):
-    """Off-diagonal dictionary {(a,b): tau_ab, a<b, 1-based} of a matrix."""
-    g = tau_entries.shape[0]
-    return {
-        (a + 1, b + 1): complex(tau_entries[a, b])
-        for a in range(g)
-        for b in range(a + 1, g)
-    }
 
 
 @dataclass(frozen=True)
@@ -392,13 +355,13 @@ def _remainder_report(g, l, t, rng, lead, value, order, tol):
     ray from diag(t), for the normal-form characteristic m with l leading
     (1,1) columns; the remainder must vanish to order at least `order`."""
     m = normal_form(l, g)
-    prod_f = np.prod(bind_symbols(t, l, tol=tol)[0])
+    fs, phis, psis = bind_symbols(t, l, tol=tol)
+    prod_f = np.prod(fs)
     base = theta_mod.PeriodMatrix.diagonal(t)
     direction = random_offdiagonal_direction(g, rng)
 
     def target(tau):
-        model = prod_f * evaluate(lead, t, offdiag_of(tau.entries), l, tol=tol)
-        return value(m, tau) - model
+        return value(m, tau) - prod_f * evaluate(lead, tau.entries, phis, psis)
 
     return vanishing_order(target, base, direction, target_order=order,
                            comparison="at_least", tail=4)

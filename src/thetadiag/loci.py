@@ -231,7 +231,7 @@ class SliceCheckResult:
 
 def _near_diagonal(t, offdiag):
     """The period matrix diag(t) with the 1-based entries {(a, b): value} of
-    offdiag set symmetrically: the inverse of expand.offdiag_of."""
+    offdiag set symmetrically."""
     tau = np.diag(np.asarray(t, dtype=complex))
     for (a, b), value in offdiag.items():
         tau[a - 1, b - 1] = tau[b - 1, a - 1] = value
@@ -264,9 +264,9 @@ def gradient_locus_check(g, t, rng, *, theta_tol=DEFAULT_TOL):
         offdiag = {(1, 2): weights[0] * eps, (1, 3): weights[1] * eps,
                    (2, 3): weights[2] * eps}
         offdiag.update(((a, j), weights[j - 1] * eps) for j in js for a in (1, 2, 3))
-        grad = gradient(m, _near_diagonal(t, offdiag), tol=theta_tol)
-        residuals.append(abs(grad[0] - prod_f * evaluate(model, t, offdiag, 3,
-                                                          tol=theta_tol)))
+        tau = _near_diagonal(t, offdiag)
+        grad = gradient(m, tau, tol=theta_tol)
+        residuals.append(abs(grad[0] - prod_f * evaluate(model, tau.entries, phis, psis)))
         for j in js:
             combos[j].append(grad[j - 1] - phis[j - 1] * U * offdiag[1, j]
                              * (grad[0] + grad[1] + grad[2]))

@@ -63,9 +63,6 @@ class SpMod2Element:
         g = self.g
         return SpMod2Element(m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:])
 
-    def key(self):
-        return self.matrix().tobytes()
-
     @cached_property
     def _affine(self):
         """The action (see act) on 2g-bit masks as (g, high, low, shift).

@@ -12,7 +12,8 @@ order and of Im z, is below the requested tolerance (_ellipsoid_radius);
 a sum needing more than MAX_POINTS points raises ValueError before they
 are allocated.  One kernel, _jet, sums for every entry point: a stack of
 (tau, m, z) items of one genus, each with its own sum, after reducing
-Re z mod 2 (theta(z + 2n) = theta(z) for n in Z^g, exactly).  The items
+Re z mod 2 (theta(z + 2n) = theta(z) for n in Z^g, exactly) and Re tau mod
+2, up to an exact quarter turn (_reduce_real).  The items
 sharing tau, eps and z form a group, and one vectorised enumeration
 serves many groups, in passes of about PASS_ROWS rows, each summed group
 by group (_pass_sums, _group_sums).  A group sums one
@@ -305,6 +306,8 @@ def _jet(items, multi_indices, tol, max_order):
     orders = np.array(orders, dtype=int)
     groups = {}  # (tau, eps, z) -> (tau, eps, z, rows)
     deltas, signs = [], []  # each item's delta, and (-1) ** (eps . delta)
+    reduced = {}  # id(tau) -> _reduce_real(tau)
+    turns = np.zeros(len(items), dtype=int)  # each item's phase i ** turns from it
     for row, (tau, m, z) in enumerate(items):
         if m.g != g:
             raise ValueError("genus mismatch")
@@ -317,11 +320,16 @@ def _jet(items, multi_indices, tol, max_order):
             # theta(z + 2n) = theta(z) for n in Z^g, and so is every
             # z-derivative: an exact reduction that leaves no sign to track
             z = z - 2.0 * np.rint(z.real / 2.0)
+        if id(tau) not in reduced:
+            if tau.g != g:
+                raise ValueError("genus mismatch")
+            reduced[id(tau)] = _reduce_real(tau)
+        tau, shift = reduced[id(tau)]
+        if shift is not None:
+            turns[row] = np.array(m.eps) @ shift @ np.array(m.eps)
         key = (id(tau), m.eps, None if z is None else z.tobytes())
         group = groups.get(key)
         if group is None:
-            if tau.g != g:
-                raise ValueError("genus mismatch")
             group = groups[key] = (tau, m.eps, z, [])
         group[3].append(row)
         deltas.append(m.delta)
@@ -356,7 +364,24 @@ def _jet(items, multi_indices, tol, max_order):
     minus = plus * np.array(signs)[:, None]
     if two_sided:
         minus[two_sided] = sums[1][two_sided]
-    return (plus + (-1) ** orders * minus) * (2j * np.pi) ** orders
+    jet = (plus + (-1) ** orders * minus) * (2j * np.pi) ** orders
+    if turns.any():
+        jet *= _QUARTER_TURNS[turns & 3][:, None]
+    return jet
+
+
+def _reduce_real(tau):
+    """(tau - 2B, B mod 4) for B = rint(Re tau / 2), or (tau, None) when B = 0.
+
+    For integer symmetric B, theta[eps;delta](tau + 2B, z) = i ** (eps^t B
+    eps) theta[eps;delta](tau, z), and so is every z-derivative: with
+    q = p + eps/2, q^t 2B q = 2 p^t B p + 2 p^t B eps + eps^t B eps / 2.  An
+    exact reduction, like that of Re z: the phase pi i q^t (Re tau) q keeps
+    its low bits, and an entry near the float range cannot overflow it."""
+    shift = np.rint(tau.entries.real / 2.0)
+    if not shift.any():
+        return tau, None
+    return PeriodMatrix(tau.entries - 2.0 * shift), np.mod(shift, 4.0).astype(int)
 
 
 def _pass_sums(chunk, alphas, deltas):

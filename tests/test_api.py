@@ -123,11 +123,20 @@ UNCALLED = {
 }
 
 
+def layer_classes():
+    """The names of the layer modules' public classes."""
+    return {qualname.split(".")[1] for qualname, _ in public_callables()
+            if qualname.count(".") == 2}
+
+
 def referenced_names():
-    """Every name the package's modules read, as a variable or an attribute:
-    definitions, docstrings, imports and the re-exports of __init__.py do
-    not count."""
-    names = set()
+    """(names, attributes): every name the package's modules read as a
+    variable or an attribute, and every attribute they read, as "attr" or,
+    when the receiver is a layer class (Characteristic.zero,
+    chars.Characteristic.parse), as "Class.attr".  Definitions, docstrings,
+    imports and the re-exports of __init__.py do not count."""
+    classes = layer_classes()
+    names, attributes = set(), set()
     for path in Path(thetadiag.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -136,13 +145,26 @@ def referenced_names():
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-    return names
+                receiver = node.value
+                receiver = getattr(receiver, "id", getattr(receiver, "attr", None))
+                attributes.add("%s.%s" % (receiver, node.attr) if receiver in classes
+                               else node.attr)
+    return names, attributes
+
+
+def is_called(qualname, names, attributes):
+    """A function counts as called through any read of its name; a method
+    only through an attribute read on an instance or on its own class."""
+    layer, *owner, name = qualname.split(".")
+    if not owner:
+        return name in names
+    return name in attributes or "%s.%s" % (owner[0], name) in attributes
 
 
 def test_every_public_function_has_a_caller():
-    referenced = referenced_names()
+    names, attributes = referenced_names()
     uncalled = {name for name, _ in public_callables()
-                if not name.endswith(".__init__") and name.split(".")[-1] not in referenced}
+                if not name.endswith(".__init__") and not is_called(name, names, attributes)}
     assert uncalled == set(UNCALLED)
     assert len(UNCALLED) <= 3 and all(UNCALLED.values())
 

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest.mock import ANY
 
@@ -38,6 +39,10 @@ def cli_process(argv, **kwargs):
     src = str(Path(thetadiag.__file__).resolve().parent.parent)
     return subprocess.run([sys.executable, "-m", "thetadiag.cli"] + argv,
                           env=dict(os.environ, PYTHONPATH=src), **kwargs)
+
+
+def _refuse_constant(name):
+    raise ValueError("%s is not valid JSON" % name)
 
 
 def run_json(argv, tmp_path, name="report.json"):
@@ -281,6 +286,25 @@ class TestThetaEval:
         assert code == EXIT_PASS
         assert report["checks"][0]["value"] == at_zero["checks"][0]["value"]
 
+    def test_huge_real_tau(self, tmp_path):
+        # Re tau_11 = 1e308 reduces to 0 with the phase i ** 0: theta at the
+        # reduced tau, as strict JSON (no NaN) and without a warning
+        entries = np.array([[1e308 + 1.1j, 0.25 + 0.2j], [0.25 + 0.2j, -0.5 + 0.9j]])
+        reports = []
+        for name, re11 in (("huge", 1e308), ("reduced", 0.0)):
+            path = tmp_path / ("%s.json" % name)
+            entries[0, 0] = re11 + 1.1j
+            path.write_text(json.dumps(PeriodMatrix(entries).to_json()))
+            out = tmp_path / ("%s-report.json" % name)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(["theta-eval", "--tau", str(path), "--char", "[11;00]",
+                            "--out", str(out)])
+            assert code == EXIT_PASS
+            reports.append(json.loads(out.read_text(), parse_constant=_refuse_constant))
+        huge, reduced = (report["checks"][0]["value"] for report in reports)
+        assert huge == reduced and abs(complex(*huge)) > 0.1
+
 
 class TestVerificationJobs:
     def test_expand_verify(self, tmp_path):
@@ -473,6 +497,16 @@ class TestInputContract:
     def test_direction_count_below_one(self, argv, capsys):
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "error: need at least one direction: %r\n" % argv[-1]
+
+    @pytest.mark.parametrize("command", ["expand-verify", "grad-verify", "hess-minor",
+                                         "loci-test", "report-all"])
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "seed must be a whole number >= 0: '-1'"),
+        ("1.5", "cannot parse seed '1.5'"),
+    ])
+    def test_seed_is_a_whole_number(self, command, seed, message, capsys):
+        assert run([command, "--g", "4", "--seed", seed]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
 
     @pytest.mark.parametrize("argv", [
         ["expand-verify", "--g", "4", "--l", "0"],

@@ -18,15 +18,12 @@ from thetadiag.expand import (
     grad_leading,
     gradient_remainder_report,
     hessian_minor,
-    offdiag_of,
+    random_offdiagonal_direction,
     theta_leading,
     theta_remainder_report,
     vanishing_order,
-    x_poly,
-    y_poly,
 )
 from thetadiag.theta import (
-    DEFAULT_TOL,
     PeriodMatrix,
     eval_theta,
     sample_generic_diagonal,
@@ -156,7 +153,7 @@ class TestPolynomialAlgebra:
             p.times_symbol("chi", 1)
 
     def test_min_degree(self):
-        assert BracketPolynomial.zero(3).min_degree() is None
+        assert BracketPolynomial(3).min_degree() is None
         assert BracketPolynomial.one(3).min_degree() == 0
         assert bracket([1, 1, 2, 3], 3).min_degree() == 2
 
@@ -204,10 +201,10 @@ class TestLeadingExpansions:
             grad_leading(3, 4, 5)
 
     def test_x_y_polys(self):
-        assert x_poly(2, 3).terms == bracket([1, 2], 3).terms
-        y = y_poly(2, 3)
-        expected = bracket([3, 3, 1, 2], 3).times_symbol("phi", 3)
-        assert y.terms == expected.terms
+        # X_2 = [1,2] and Y_2 = phi_3 [3,3,1,2] at genus 3, in that order
+        x = bracket([1, 2], 3)
+        y = bracket([3, 3, 1, 2], 3).times_symbol("phi", 3)
+        assert list(theta_leading(2, 3).terms.items()) == list((x + y).terms.items())
 
 
 class TestHessianMinorEntries:
@@ -225,8 +222,8 @@ class TestHessianMinorEntries:
     def test_entry_JJ(self):
         ((entry,),) = [row for row in hessian_minor([1], [1], 4)]
         expected = (
-            (x_poly(2, 4) + y_poly(2, 4)).times_symbol("phi", 1)
-            + x_poly(2, 4).times_symbol("psi", 1)
+            theta_leading(2, 4).times_symbol("phi", 1)
+            + bracket([1, 2], 4).times_symbol("psi", 1)
         ).scale(Fraction(1, 2))
         assert entry.terms == expected.terms
 
@@ -242,7 +239,8 @@ class TestHessianMinorEntries:
         rng = np.random.default_rng(1)
         t = sample_generic_diagonal(g, 2, rng)
         m0 = Characteristic.parse("[1100;1100]")
-        prod_f = np.prod(bind_symbols(t, 2)[0])
+        fs, phis, psis = bind_symbols(t, 2)
+        prod_f = np.prod(fs)
         base = PeriodMatrix.diagonal(t)
         direction = np.zeros((g, g), dtype=complex)
         for a in range(g):
@@ -255,9 +253,7 @@ class TestHessianMinorEntries:
             ((entry,),) = [row for row in hessian_minor([r], [c], g)]
 
             def target(tau):
-                model = prod_f * evaluate(
-                    entry, t, offdiag_of(tau.entries), 2, tol=DEFAULT_TOL
-                )
+                model = prod_f * evaluate(entry, tau.entries, phis, psis)
                 return tau_gradient(m0, tau)[r - 1, c - 1] * (2j * np.pi) - model
 
             report = vanishing_order(
@@ -270,8 +266,24 @@ class TestHessianMinorEntries:
 class TestEvaluate:
     def test_single_term_substitution(self):
         p = bracket([1, 2], 2)
-        value = evaluate(p, [1j, 1j], {(1, 2): 0.01j}, 0)
+        value = evaluate(p, np.array([[1j, 0.01j], [0.01j, 1j]]), [], [])
         assert abs(value - 0.01j / (2j * np.pi)) < 1e-15
+
+    def test_reads_no_theta(self, monkeypatch):
+        # the caller gives the symbols: evaluating binds none and sums no lattice
+        rng = np.random.default_rng(5)
+        tau = PeriodMatrix.diagonal([0.1 + 1.1j, -0.2 + 0.9j, 0.3 + 1.3j, 1.2j, 0.4 + 1j])
+        tau = tau.perturbed(random_offdiagonal_direction(5, rng), 0.01)
+        phis, psis = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+        p = grad_leading(3, 5, 1)
+        before = evaluate(p, tau.entries, phis, psis)
+
+        def refuse(*args):
+            raise AssertionError("evaluate called the theta kernel")
+
+        monkeypatch.setattr(theta, "_jet", refuse)
+        monkeypatch.setattr(theta, "f_phi_psi", refuse)
+        assert evaluate(p, tau.entries, phis, psis) == before
 
     def test_bound_symbols_reused(self, monkeypatch):
         # the genus-1 triples are memoised: binding the symbols again at

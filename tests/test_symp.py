@@ -213,15 +213,15 @@ class TestOrbits:
         assert gamma1_s().is_symplectic()
         assert gamma1_t().is_symplectic()
         # the two generate all six elements of SL(2, Z_2)
-        seen = {identity(1).key()}
+        seen = {identity(1).matrix().tobytes()}
         frontier = [identity(1)]
         while frontier:
             nxt = []
             for el in frontier:
                 for gen in (gamma1_s(), gamma1_t()):
                     prod = el * gen
-                    if prod.key() not in seen:
-                        seen.add(prod.key())
+                    if prod.matrix().tobytes() not in seen:
+                        seen.add(prod.matrix().tobytes())
                         nxt.append(prod)
             frontier = nxt
         assert len(seen) == 6

@@ -326,6 +326,29 @@ class TestStructuralIdentities:
                                        expected, rtol=1e-12, atol=1e-12)
             assert abs(eval_theta(m, tau, z=shifted) - expected[0]) < 1e-12
 
+    def test_huge_real_tau_is_reduced_exactly(self):
+        # theta(tau + 2B, z) = i ** (eps^t B eps) theta(tau, z) for integer
+        # symmetric B, and so are its z-derivatives; Re tau has few bits, so
+        # each tau + 2B below is exact in floating point
+        re = np.array([[0.25, -0.375], [-0.375, 0.5]])
+        tau = PeriodMatrix(re + 1j * np.array([[1.1, 0.2], [0.2, 0.9]]))
+        z = [0.1 + 0.05j, -0.2j]
+        alphas = [(0, 0), (1, 0), (1, 1), (0, 3)]
+        for b in ([[10**8 + 1, 3 * 10**8 + 1], [3 * 10**8 + 1, 2 - 5 * 10**8]],
+                  [[2**40, 1], [1, 2**41 + 3]]):
+            shifted = PeriodMatrix(tau.entries + 2.0 * np.array(b))
+            assert (shifted.entries.real - 2.0 * np.array(b) == re).all()
+            for m in enumerate_characteristics(2):
+                turn = 1j ** (sum(m.eps[j] * m.eps[k] * b[j][k]
+                                  for j in range(2) for k in range(2)) % 4)
+                for point in (None, z):
+                    np.testing.assert_allclose(
+                        eval_theta_many(m, shifted, alphas, z=point),
+                        turn * np.array(eval_theta_many(m, tau, alphas, z=point)),
+                        rtol=1e-14, atol=1e-14)
+        m = Characteristic.zero(1)
+        assert eval_theta(m, PeriodMatrix([[1e8 + 1j]])) == eval_theta(m, PeriodMatrix([[1j]]))
+
 
 class TestDerivatives:
     def test_gradient_vs_finite_differences(self):
