@@ -7,7 +7,9 @@ All vanishing tests are relative: a theta constant counts as zero when it
 is below DEFAULT_VANISH_TOL times the largest even theta constant at the
 same point.  Every characteristic a detector tests is even, so the
 detectors read their constants from the batch that gives that scale: each
-period matrix and theta tolerance costs one batch (even_scale).
+period matrix and theta tolerance costs one batch (even_scale).  The rank
+class decides from |theta_0|, one of the evens, first, and reads the batch
+only when that does not already prove the vanishing.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .chars import (
     Characteristic,
     enumerate_characteristics,
     hyperelliptic_vanishing_set,
+    is_even,
     scalar_class,
     special_fundamental_system,
 )
@@ -35,6 +38,7 @@ from .symp import act, permutation_element
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
+    eval_theta_stack,
     gradient,
     hessian,
     numerical_rank,
@@ -60,7 +64,8 @@ class LocusVerdict:
 
 def even_scale(tau, theta_tol=DEFAULT_TOL):
     """(max |theta_m(tau)| over even m, the reference scale for vanishing;
-    every even theta constant at tau, as a read-only mapping).
+    every even theta constant at tau, as a read-only mapping).  The scale is
+    at least |theta_0|, which thetanull_rank_class tries first.
 
     Memoised per period matrix object and theta_tol: PeriodMatrix entries
     are write-protected, and the cache holds tau, so its id is not reused."""
@@ -121,15 +126,21 @@ def is_product_orbit(tau, g1, *, theta_tol=DEFAULT_TOL):
 
 
 def thetanull_rank_class(tau, m, *, theta_tol=DEFAULT_TOL):
-    """(is_null, rank): whether theta_m, read from the even batch, vanishes
-    relative to the even scale, and the numerical rank of the z-Hessian of
-    theta_m at z=0.  ValueError unless m is an even characteristic of tau's
-    genus."""
-    scale, values = even_scale(tau, theta_tol)
-    value = values.get(m)
-    if value is None:
+    """(is_null, rank): whether theta_m vanishes relative to the even scale,
+    and the numerical rank of the z-Hessian of theta_m at z=0.  The scale is
+    at least |theta_0|, so |theta_m| below DEFAULT_VANISH_TOL |theta_0|, from
+    one two-item stack, proves the vanishing; only otherwise is theta_m read
+    from the even batch and compared with the scale.  ValueError unless m is
+    an even characteristic of tau's genus."""
+    if m.g != tau.g or not is_even(m):
         raise ValueError("%s is not an even characteristic of genus %d" % (m.compact(), tau.g))
-    return abs(value) < DEFAULT_VANISH_TOL * scale, numerical_rank(hessian(m, tau, theta_tol))
+    value, zero = eval_theta_stack([(tau, m, None), (tau, Characteristic.zero(tau.g), None)],
+                                   theta_tol)
+    is_null = abs(value) < DEFAULT_VANISH_TOL * abs(zero)
+    if not is_null:
+        scale, values = even_scale(tau, theta_tol)
+        is_null = abs(values[m]) < DEFAULT_VANISH_TOL * scale
+    return is_null, numerical_rank(hessian(m, tau, theta_tol))
 
 
 def hyperelliptic_vanishing_test(tau, *, theta_tol=DEFAULT_TOL):

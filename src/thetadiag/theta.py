@@ -350,21 +350,25 @@ def _jet(items, multi_indices, tol, max_order):
             size = 0.0
         size += volume
         passes[-1].append((tau, eps, z, rows, radius))
-    # the sums over the rows q and, away from z = 0, over their pairs -q
+    # the sums over the rows q and, away from z = 0, over their pairs -q; a
+    # term past the float range (a large |Im z|) is refused below, unwarned
     sums = np.empty((2, len(items), len(alphas)), dtype=complex)
     two_sided = []
-    for chunk in passes:
-        for (*_, rows, _), sides in zip(chunk, _pass_sums(chunk, alphas, deltas)):
-            for out, side in zip(sums, sides):
-                out[rows] = side
-            if len(sides) > 1:
-                two_sided += rows
-    # at z = 0 the -q terms are the q terms times (-1) ** (eps . delta)
-    plus = sums[0]
-    minus = plus * np.array(signs)[:, None]
-    if two_sided:
-        minus[two_sided] = sums[1][two_sided]
-    jet = (plus + (-1) ** orders * minus) * (2j * np.pi) ** orders
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in passes:
+            for (*_, rows, _), sides in zip(chunk, _pass_sums(chunk, alphas, deltas)):
+                for out, side in zip(sums, sides):
+                    out[rows] = side
+                if len(sides) > 1:
+                    two_sided += rows
+        # at z = 0 the -q terms are the q terms times (-1) ** (eps . delta)
+        plus = sums[0]
+        minus = plus * np.array(signs)[:, None]
+        if two_sided:
+            minus[two_sided] = sums[1][two_sided]
+        jet = (plus + (-1) ** orders * minus) * (2j * np.pi) ** orders
+    if not np.isfinite(jet).all():
+        raise ValueError("theta value not finite in float64 (|Im z| too large)")
     if turns.any():
         jet *= _QUARTER_TURNS[turns & 3][:, None]
     return jet

@@ -305,6 +305,22 @@ class TestThetaEval:
         huge, reduced = (report["checks"][0]["value"] for report in reports)
         assert huge == reduced and abs(complex(*huge)) > 0.1
 
+    @pytest.mark.parametrize("deriv", [[], ["--deriv", "4,0"]], ids=["value", "deriv"])
+    def test_value_past_the_float_range_refused(self, tmp_path, deriv):
+        # |theta(z)| grows like exp(pi y^t (Im tau)^-1 y): at Im z_1 = 20 a
+        # term overflows float64, and the value is refused, not printed as NaN
+        path = tmp_path / "T.json"
+        entries = np.array([[0.1 + 1.0j, 0.2 + 0.1j], [0.2 + 0.1j, 1.2j]])
+        path.write_text(json.dumps(PeriodMatrix(entries).to_json()))
+        base = ["theta-eval", "--tau", str(path), "--char", "[00;00]"]
+        refused = cli_process(base + ["--z", "0+20j,0"] + deriv, capture_output=True, text=True)
+        assert refused.returncode == EXIT_USAGE
+        assert refused.stdout == ""
+        assert refused.stderr == "error: theta value not finite in float64 (|Im z| too large)\n"
+        code, report = run_json(base + ["--z", "0+5j,0"], tmp_path)
+        assert code == EXIT_PASS
+        assert report["checks"][0]["value"] == [5.127394804150572e+31, 1.8358430050480521e+34]
+
 
 class TestVerificationJobs:
     def test_expand_verify(self, tmp_path):

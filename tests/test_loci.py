@@ -13,12 +13,14 @@ from thetadiag.chars import (
     Characteristic,
     b_char,
     enumerate_characteristics,
+    even_count,
     hyperelliptic_vanishing_set,
     is_even,
     special_fundamental_system,
 )
 from thetadiag.expand import bind_symbols, default_ladder, evaluate, grad_leading
 from thetadiag.loci import (
+    DEFAULT_VANISH_TOL,
     MINOR_CHECKS,
     even_scale,
     gradient_locus_check,
@@ -182,15 +184,36 @@ class TestRankClass:
         is_null, rank = thetanull_rank_class(PeriodMatrix.diagonal(t), _m0(4))
         assert is_null and rank == 2
 
-    def test_sums_one_single_evaluation_pass_after_the_even_batch(self, kernel):
-        # theta_m is read from the batch; its z-Hessian is one lattice pass
-        # at eps(m)
+    def test_sums_a_two_group_pass_and_one_hessian_pass(self, kernel):
+        # theta_m and theta_0 share one lattice pass, which proves the
+        # vanishing without the even batch; the z-Hessian is one pass at eps(m)
         tau = PeriodMatrix.diagonal([1.1j, 1.2j, 0.9j, 1.3j])
-        even_scale(tau, theta.DEFAULT_TOL)  # the batch, as the detector reads it
-        batch_passes = len(kernel.passes)
         is_null, rank = thetanull_rank_class(tau, _m0(4))
         assert is_null and rank == 2
-        assert [epses for epses, _ in kernel.passes[batch_passes:]] == [[(1, 1, 0, 0)]]
+        assert [epses for epses, _ in kernel.passes] == [[(1, 1, 0, 0), (0, 0, 0, 0)],
+                                                         [(1, 1, 0, 0)]]
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("g", (3, 4, 5))
+    def test_verdict_is_the_full_batch_definition(self, kernel, g, seed):
+        # |theta_0| <= the even scale, so deciding from it first changes no
+        # verdict; the batch is summed only where that test cannot decide
+        rng = np.random.default_rng(seed)
+        block = _block_product(g, rng)
+        direction = np.zeros((g, g), dtype=complex)
+        direction[0, 1] = direction[1, 0] = 1.0
+        points = {"block": block, "perturbed": block.perturbed(direction, 0.05),
+                  "diagonal": PeriodMatrix.diagonal(sample_generic_diagonal(g, 0, rng))}
+        for name, point in points.items():
+            for m in (_m0(g), Characteristic.zero(g)):
+                tau = PeriodMatrix(point.entries)  # a new object: no memoised batch
+                start = len(kernel.calls)
+                is_null, _ = thetanull_rank_class(tau, m)
+                batched = even_count(g) in [items for _, items in kernel.calls[start:]]
+                scale, values = even_scale(tau)
+                assert is_null == (abs(values[m]) < DEFAULT_VANISH_TOL * scale)
+                assert is_null == (name != "perturbed" and m != Characteristic.zero(g))
+                assert batched == (not is_null)
 
     @pytest.mark.parametrize("m", ["[1000;1000]", "[110;110]"])
     def test_characteristic_outside_the_even_batch_rejected(self, m):

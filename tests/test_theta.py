@@ -7,6 +7,7 @@ closed-form values, and finite differences for every analytic derivative.
 
 import itertools
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -348,6 +349,16 @@ class TestStructuralIdentities:
                         rtol=1e-14, atol=1e-14)
         m = Characteristic.zero(1)
         assert eval_theta(m, PeriodMatrix([[1e8 + 1j]])) == eval_theta(m, PeriodMatrix([[1j]]))
+
+    @pytest.mark.parametrize("deriv", [None, (4, 0)])
+    def test_value_past_the_float_range_refused(self, deriv):
+        # at Im z_1 = 20 a term of the sum overflows float64: a ValueError,
+        # with no RuntimeWarning and no NaN returned
+        tau = PeriodMatrix([[0.1 + 1.0j, 0.2 + 0.1j], [0.2 + 0.1j, 1.2j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                eval_theta(Characteristic.zero(2), tau, z=[20j, 0], deriv=deriv)
 
 
 class TestDerivatives:
